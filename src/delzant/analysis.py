@@ -115,8 +115,8 @@ def analyze_polytope(
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> AnalysisReport:
     """Run the whole pipeline on one presentation."""
-    structure = structure_report(poly, budget)
     system = polytope_to_quadrics(poly)
+    structure = structure_report(poly, budget, system.gamma)
     deck = inv.deck_data(system)
     non_strict = set(structure.redundant) - set(structure.strict_redundant)
     if non_strict:

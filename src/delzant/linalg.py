@@ -336,6 +336,39 @@ def det(rows: Matrix) -> Fraction:
     return Fraction(product * sign)
 
 
+def inverse(rows: Matrix) -> tuple[list[list[int]], int]:
+    """Inverse of a nonsingular square matrix as integer numerators over one denominator.
+
+    Returns ``(N, d)`` with ``rows^-1 == N / d``, by sparse Gauss-Jordan
+    elimination on ``[rows | I]`` with the shortest row as pivot.
+    """
+    n = len(rows)
+    aug = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    for i, d in enumerate(aug):
+        d[n + i] = 1
+    for col in range(n):
+        candidates = [i for i in range(col, n) if col in aug[i]]
+        if not candidates:
+            raise LinearAlgebraError("matrix is singular")
+        best = min(candidates, key=lambda i: len(aug[i]))
+        aug[col], aug[best] = aug[best], aug[col]
+        piv = aug[col][col]
+        pivot_row = {j: _divide(x, piv) for j, x in aug[col].items()}
+        aug[col] = pivot_row
+        for i, d in enumerate(aug):
+            if i == col or col not in d:
+                continue
+            factor = d[col]
+            for j, x in pivot_row.items():
+                new = d.get(j, 0) - factor * x
+                if new:
+                    d[j] = new
+                else:
+                    del d[j]
+    den = math.lcm(*(Fraction(x).denominator for d in aug for x in d.values()))
+    return [[int(aug[i].get(n + j, 0) * den) for j in range(n)] for i in range(n)], den
+
+
 def solve_affine(rows: Matrix, rhs: Sequence):
     """General solution of ``rows @ x == rhs`` over the rationals.
 

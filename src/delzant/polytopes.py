@@ -3,9 +3,19 @@
 A polytope is the solution set of ``<a_i, x> + b_i >= 0`` for integer
 normals ``a_i`` and rational offsets ``b_i``.  All geometry here is done
 in exact rational arithmetic; there is no floating point and no LP solver.
-Vertices come from exhaustive subset solving, boundedness from the dual
-positive-dependence criterion (the normals admit a strictly positive
-integer relation iff the recession cone is trivial).
+
+A presentation's relation rows ``Gamma`` (a saturated basis of the integer
+relations among the normals, m = n - k rows when the normals span) are
+computed once and its vertices enumerated once; every predicate reads its
+answer from that result.  Vertices come from basis solving on the side
+with the smaller square systems: k-subsets of the inequalities when
+k <= m, else m-subsets B of the Gale dual ``Gamma s = Gamma b, s >= 0``
+(both sides try C(n, k) = C(n, m) subsets).  Boundedness is the dual
+positive-dependence criterion (a strictly positive relation exists iff the
+recession cone is trivial).  Redundancy is read off the vertex-facet
+incidence, with a per-index relaxation only for empty polytopes and
+implicit equalities.  When m < k, a simple vertex's Delzant index is the
+m x m minor ``|det Gamma_B|`` on the complement B of its active set.
 """
 
 from __future__ import annotations
@@ -14,9 +24,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import linalg
 
@@ -32,7 +41,13 @@ class PolytopeFormatError(PolytopeError):
 
 
 class SubsetBudgetError(PolytopeError):
-    """The requested enumeration exceeds the configured subset budget."""
+    """A subset search would try more subsets than the configured budget."""
+
+    def __init__(self, stage: str, requested: int, budget: int):
+        super().__init__(f"{stage}: {requested} subsets exceed the budget of {budget}")
+        self.stage = stage
+        self.requested = requested
+        self.budget = budget
 
 
 class LatticeRankError(PolytopeError):
@@ -81,10 +96,18 @@ class Vertex:
 
 @dataclass(frozen=True)
 class VertexSet:
+    """The vertices of a presentation and the relation rows they were found with.
+
+    ``relations`` is the saturated basis ``Gamma`` of the integer relations
+    among the normals that the enumeration used; ``is_delzant`` reads vertex
+    indices off its minors when it has fewer rows than the dimension.
+    """
+
     vertices: tuple[Vertex, ...]
     bounded: bool
     empty: bool
     pointed: bool
+    relations: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -103,7 +126,8 @@ class StructureReport:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _parse_integer(value, what: str) -> int:
+def parse_integer(value, what: str = "integer") -> int:
+    """An int, or a decimal string of one; floats and bools are rejected."""
     if isinstance(value, bool):
         raise PolytopeFormatError(f"{what} must be an integer")
     if isinstance(value, int):
@@ -117,6 +141,7 @@ def _parse_integer(value, what: str) -> int:
 
 
 def parse_rational(value, what: str = "rational") -> Fraction:
+    """An int, or a decimal or ``p/q`` string; floats and bools are rejected."""
     if isinstance(value, bool):
         raise PolytopeFormatError(f"{what} must be rational")
     if isinstance(value, int):
@@ -127,6 +152,13 @@ def parse_rational(value, what: str = "rational") -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise PolytopeFormatError(f"{what} is not a valid p/q rational: {value!r}") from None
     raise PolytopeFormatError(f"{what} must be an integer or a p/q string")
+
+
+def parse_bool(value, what: str = "flag") -> bool:
+    """A JSON ``true`` or ``false``; no other value is read as a truth value."""
+    if not isinstance(value, bool):
+        raise PolytopeFormatError(f"{what} must be true or false")
+    return value
 
 
 def parse_polytope(text: str | bytes) -> HPolytope:
@@ -152,7 +184,7 @@ def parse_polytope(text: str | bytes) -> HPolytope:
     if len(widths) > 1:
         raise PolytopeFormatError("dimension mismatch: rows of 'A' have unequal lengths")
     n = widths.pop() if widths else 0
-    matrix = [[_parse_integer(x, "entry of A") for x in row] for row in rows]
+    matrix = [[parse_integer(x, "entry of A") for x in row] for row in rows]
     b_raw = data["b"]
     if not isinstance(b_raw, list):
         raise PolytopeFormatError("'b' must be a list")
@@ -197,15 +229,17 @@ def _scaled_values(rows, point_nums: Sequence[int], den: int) -> list[int] | Non
     return values
 
 
-def _vertex_candidates(rows, k: int, indices: Iterable[int], budget: int):
-    """Yield (point, scaled values) for each feasible basic solution."""
-    idx = list(indices)
-    if math.comb(len(idx), k) > budget:
-        raise SubsetBudgetError(
-            f"{math.comb(len(idx), k)} subsets exceed the budget of {budget}"
-        )
+def _check_budget(stage: str, n: int, size: int, budget: int) -> None:
+    requested = math.comb(n, size)
+    if requested > budget:
+        raise SubsetBudgetError(stage, requested, budget)
+
+
+def _vertex_candidates(rows, k: int, budget: int, stage: str):
+    """Yield (point, scaled values) for each feasible basic solution of k rows."""
+    _check_budget(stage, len(rows), k, budget)
     seen = set()
-    for subset in combinations(idx, k):
+    for subset in combinations(range(len(rows)), k):
         sol = linalg.solve_square(
             [rows[i][0] for i in subset], [-rows[i][1] for i in subset]
         )
@@ -222,25 +256,12 @@ def _vertex_candidates(rows, k: int, indices: Iterable[int], budget: int):
             yield tuple(sol), values
 
 
-@lru_cache(maxsize=4096)
-def _relations_cached(normals: tuple[tuple[int, ...], ...], dim: int):
-    matrix = [[a[r] for a in normals] for r in range(dim)]
-    return tuple(tuple(row) for row in linalg.integer_kernel(matrix))
-
-
-@lru_cache(maxsize=4096)
-def _normals_rank(normals: tuple[tuple[int, ...], ...]) -> int:
-    return linalg.rational_rank([list(a) for a in normals])
-
-
-def _relation_rows(poly: HPolytope) -> list[list[int]]:
+def _relation_rows(poly: HPolytope) -> tuple[tuple[int, ...], ...]:
     """Saturated basis of the integer relations among the normals."""
-    if poly.n == 0:
-        return []
-    return [list(r) for r in _relations_cached(poly.normals, poly.dim)]
+    return tuple(tuple(row) for row in linalg.integer_kernel(poly.matrix()))
 
 
-def _has_positive_relation(relations: list[list[int]], n: int, budget: int) -> bool:
+def _has_positive_relation(relations, n: int, budget: int) -> bool:
     """Whether the relation space meets the strictly positive orthant.
 
     Decided exactly by enumerating basic solutions of ``<c, col_j> >= 1``;
@@ -251,13 +272,14 @@ def _has_positive_relation(relations: list[list[int]], n: int, budget: int) -> b
     if m == 0:
         return n == 0
     cols = [tuple(relations[r][j] for r in range(m)) for j in range(n)]
-    if math.comb(n, m) > budget:
-        raise SubsetBudgetError("positive-relation search exceeds the subset budget")
+    _check_budget("positive-relation search", n, m, budget)
     for subset in combinations(range(n), m):
         sol = linalg.solve_square([cols[i] for i in subset], [1] * m)
         if sol is None:
             continue
-        if all(linalg.dot(sol, col) >= 1 for col in cols):
+        den = math.lcm(*(x.denominator for x in sol))
+        nums = [x.numerator * (den // x.denominator) for x in sol]
+        if all(sum(c * x for c, x in zip(col, nums) if c) >= den for col in cols):
             return True
     return False
 
@@ -266,9 +288,10 @@ def is_bounded(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> bool:
     """Exact boundedness: full-rank normals plus a strictly positive relation."""
     if poly.dim == 0:
         return True
-    if _normals_rank(poly.normals) < poly.dim:
+    relations = _relation_rows(poly)
+    if len(relations) != poly.n - poly.dim:
         return False
-    return _has_positive_relation(_relation_rows(poly), poly.n, budget)
+    return _has_positive_relation(relations, poly.n, budget)
 
 
 def _reduced_feasible(poly: HPolytope, budget: int) -> bool:
@@ -284,34 +307,98 @@ def _reduced_feasible(poly: HPolytope, budget: int) -> bool:
     return not enumerate_vertices(reduced, budget=budget).empty
 
 
-def enumerate_vertices(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> VertexSet:
+def _primal_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
+    """Vertices from every k-subset of the inequalities, solved for the point."""
+    vertices = []
+    candidates = _vertex_candidates(
+        _integer_rows(poly), poly.dim, budget, "vertex enumeration (k-subsets)"
+    )
+    for point, values in candidates:
+        active = tuple(i for i, v in enumerate(values) if v == 0)
+        vertices.append(Vertex(point, active))
+    return vertices
+
+
+def _gale_vertices(poly: HPolytope, relations, budget: int) -> list[Vertex]:
+    """Vertices from the basic feasible slack vectors of ``Gamma s = Gamma b, s >= 0``.
+
+    Each m-subset B with ``Gamma_B`` nonsingular gives ``s_B = Gamma_B^-1 Gamma b``
+    and ``s = 0`` off B; it is a vertex when ``s_B >= 0``, and a degenerate
+    vertex is reached from several B, so slack vectors are deduplicated.  The
+    slacks are scaled by the common offset denominator so the right-hand side
+    is integral.  The point is ``x = A_T^-T (s_T - b_T)`` for the complement T
+    of the first feasible basis, whose inverse is computed once as integer
+    numerators over one denominator.
+    """
+    n, m = poly.n, len(relations)
+    _check_budget("vertex enumeration (Gale m-subsets)", n, m, budget)
+    scale = math.lcm(*(b.denominator for b in poly.offsets))
+    offsets = [int(b * scale) for b in poly.offsets]
+    rhs = [linalg.dot(row, offsets) for row in relations]
+    cols = [tuple(row[j] for row in relations) for j in range(n)]
+    seen = set()
+    vertices = []
+    recovery = None  # (T, sparse numerator rows of A_T^-T, denominator)
+    for subset in combinations(range(n), m):
+        sol = linalg.solve_square(list(zip(*(cols[j] for j in subset))), rhs)
+        if sol is None or any(x < 0 for x in sol):
+            continue
+        slack = {j: x for j, x in zip(subset, sol) if x}
+        key = tuple(slack.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        if recovery is None:
+            chosen = set(subset)
+            tight = [i for i in range(n) if i not in chosen]
+            numerators, den = linalg.inverse([poly.normals[i] for i in tight])
+            rows = [[(p, c) for p, c in enumerate(row) if c] for row in numerators]
+            recovery = tight, rows, scale * den
+        tight, rows, den = recovery
+        q = math.lcm(*(x.denominator for x in slack.values()))
+        w = [int(slack.get(i, 0) * q) - offsets[i] * q for i in tight]
+        point = tuple(Fraction(sum(c * w[p] for p, c in row), den * q) for row in rows)
+        active = tuple(i for i in range(n) if i not in slack)
+        vertices.append(Vertex(point, active))
+    return vertices
+
+
+def enumerate_vertices(
+    poly: HPolytope,
+    budget: int = DEFAULT_SUBSET_BUDGET,
+    relations: Sequence[Sequence[int]] | None = None,
+) -> VertexSet:
     """All vertices with their full active sets, plus emptiness/boundedness flags.
 
-    Exhaustive k-subset solving with exact rational elimination.  A system
-    whose normals do not span R^k has no vertices; its feasibility is still
-    decided (in quotient coordinates) and reported through the flags.
+    ``relations``, when given, must be a saturated basis of the integer
+    relations among the normals (the ``Gamma`` of the quadric system); it is
+    computed otherwise.  The enumeration runs on the side with the smaller
+    square systems: k-subsets when k <= m, Gale m-subsets when m < k.  A
+    system whose normals do not span R^k has no vertices; its feasibility is
+    still decided (in quotient coordinates) and reported through the flags.
     """
     k, n = poly.dim, poly.n
-    rows = _integer_rows(poly)
     if k == 0:
         feasible = all(b >= 0 for b in poly.offsets)
         if not feasible:
-            return VertexSet((), True, True, True)
+            return VertexSet((), True, True, True, ())
         active = tuple(i for i, b in enumerate(poly.offsets) if b == 0)
-        return VertexSet((Vertex((), active),), True, False, True)
-    pointed = _normals_rank(poly.normals) == k
-    if not pointed:
+        return VertexSet((Vertex((), active),), True, False, True, ())
+    if relations is None:
+        relations = _relation_rows(poly)
+    relations = tuple(tuple(row) for row in relations)
+    if len(relations) != n - k:
         feasible = _reduced_feasible(poly, budget)
-        return VertexSet((), bounded=False, empty=not feasible, pointed=False)
-    vertices = []
-    for point, values in _vertex_candidates(rows, k, range(n), budget):
-        active = tuple(i for i, v in enumerate(values) if v == 0)
-        vertices.append(Vertex(point, active))
-    vertices.sort(key=lambda v: v.point)
+        return VertexSet((), False, not feasible, False, relations)
+    if len(relations) < k:
+        vertices = _gale_vertices(poly, relations, budget)
+    else:
+        vertices = _primal_vertices(poly, budget)
     if not vertices:
-        return VertexSet((), bounded=True, empty=True, pointed=True)
-    bounded = _has_positive_relation(_relation_rows(poly), n, budget)
-    return VertexSet(tuple(vertices), bounded=bounded, empty=False, pointed=True)
+        return VertexSet((), True, True, True, relations)
+    vertices.sort(key=lambda v: v.point)
+    bounded = _has_positive_relation(relations, n, budget)
+    return VertexSet(tuple(vertices), bounded, False, True, relations)
 
 
 def is_simple(vertex_set: VertexSet, dim: int) -> bool:
@@ -319,18 +406,25 @@ def is_simple(vertex_set: VertexSet, dim: int) -> bool:
     return all(len(v.active) == dim for v in vertex_set.vertices)
 
 
+def _gale_minor(poly: HPolytope, relations, active: Sequence[int]) -> Fraction:
+    """``|det Gamma_B|`` on the complement B of an active set of size k.
+
+    For a saturated ``Gamma``, ``|det A_active| = L * |det Gamma_B|`` with L
+    the index of the normal lattice in Z^k, so this is the index of the
+    active normals in the normal lattice.
+    """
+    tight = set(active)
+    complement = [j for j in range(poly.n) if j not in tight]
+    return abs(linalg.det([[row[j] for j in complement] for row in relations]))
+
+
 def is_generic(poly: HPolytope, vertex_set: VertexSet) -> bool:
-    """The normals tight at each vertex are linearly independent."""
-    for v in vertex_set.vertices:
-        rows = [list(poly.normals[i]) for i in v.active]
-        if len(rows) > poly.dim:
-            return False
-        if len(rows) == poly.dim:
-            if linalg.det(rows) == 0:
-                return False
-        elif linalg.rational_rank(rows) != len(rows):
-            return False
-    return True
+    """The normals tight at each vertex are linearly independent.
+
+    The active normals of a vertex span R^k, so they are independent exactly
+    when there are k of them: on an enumerated vertex set, generic is simple.
+    """
+    return is_simple(vertex_set, poly.dim)
 
 
 def normal_lattice_basis(poly: HPolytope) -> list[list[int]]:
@@ -345,11 +439,17 @@ def normal_lattice_basis(poly: HPolytope) -> list[list[int]]:
 def is_delzant(poly: HPolytope, vertex_set: VertexSet) -> bool:
     """At every vertex the active normals are a basis of the normal lattice.
 
-    Requires the simple and generic conditions; the index of the active
-    sublattice equals |det(active normals)| / |det(lattice basis)|.
+    Requires the simple and generic conditions.  The index of the active
+    sublattice is ``|det Gamma_B|`` on the inactive set B when m < k, and
+    ``|det(active normals)| / |det(lattice basis)|`` otherwise.
     """
-    if not (is_simple(vertex_set, poly.dim) and is_generic(poly, vertex_set)):
+    if not is_generic(poly, vertex_set):
         raise PolytopeError("Delzant test requires a simple and generic presentation")
+    if vertex_set.pointed and len(vertex_set.relations) < poly.dim:
+        return all(
+            _gale_minor(poly, vertex_set.relations, v.active) == 1
+            for v in vertex_set.vertices
+        )
     basis = normal_lattice_basis(poly)
     lattice_det = abs(linalg.det(basis))
     for v in vertex_set.vertices:
@@ -389,21 +489,40 @@ def is_fano(poly: HPolytope):
     return True, constant, tuple(translation)
 
 
-def redundancy(
-    poly: HPolytope,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> dict[int, bool]:
-    """Indices whose inequality can be dropped without changing the set.
 
-    Returns ``{index: strict}`` where ``strict`` means the inequality is
-    never tight on the intersection of the others.  Exact: index i is
-    redundant iff the relaxation obtained by dropping it is bounded and the
-    minimum of ``<a_i, x> + b_i`` over its vertices is >= 0; an unbounded
-    relaxation of a bounded polytope always escapes through inequality i.
+def _incidence_redundancy(n: int, vertices: Sequence[Vertex]) -> dict[int, bool] | None:
+    """Redundancy flags from the vertex-facet incidence, or None if it does not decide.
+
+    Valid for a bounded, nonempty polytope with no implicit equality, i.e.
+    no index tight at every vertex: with V_i the vertices tight at index i,
+    i is strictly redundant iff V_i is empty, and redundant iff V_i lies in
+    V_j for some j != i (an irredundant index spans a facet, which lies in no
+    other index's face).
     """
-    if not is_bounded(poly, budget):
-        if not enumerate_vertices(poly, budget).empty:
-            raise PolytopeError("redundancy analysis requires a bounded polytope")
+    masks = [0] * n
+    for bit, v in enumerate(vertices):
+        for i in v.active:
+            masks[i] |= 1 << bit
+    everywhere = (1 << len(vertices)) - 1
+    if everywhere in masks:
+        return None
+    flags: dict[int, bool] = {}
+    for i, mask in enumerate(masks):
+        if not mask:
+            flags[i] = True
+        elif any(j != i and not mask & ~other for j, other in enumerate(masks)):
+            flags[i] = False
+    return flags
+
+
+def _relaxation_redundancy(poly: HPolytope, budget: int) -> dict[int, bool]:
+    """Redundancy flags from re-enumerating each relaxation.
+
+    Index i is redundant iff the relaxation obtained by dropping it is
+    bounded and the minimum of ``<a_i, x> + b_i`` over its vertices is >= 0;
+    an unbounded relaxation of a bounded polytope always escapes through
+    inequality i.
+    """
     relations = _relation_rows(poly)
     result: dict[int, bool] = {}
     for i in range(poly.n):
@@ -417,7 +536,7 @@ def redundancy(
         a_i, b_i = poly.normals[i], poly.offsets[i]
         minimum = None
         feasible = False
-        for point, _ in _vertex_candidates(rows, relaxed.dim, range(relaxed.n), budget):
+        for point, _ in _vertex_candidates(rows, relaxed.dim, budget, "redundancy relaxation"):
             feasible = True
             value = linalg.dot(a_i, point) + b_i
             if minimum is None or value < minimum:
@@ -435,10 +554,42 @@ def redundancy(
     return result
 
 
-def structure_report(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> StructureReport:
-    """Run every structural predicate and assemble the report."""
+def redundancy(
+    poly: HPolytope,
+    budget: int = DEFAULT_SUBSET_BUDGET,
+    vertex_set: VertexSet | None = None,
+) -> dict[int, bool]:
+    """Indices whose inequality can be dropped without changing the set.
+
+    Returns ``{index: strict}`` where ``strict`` means the inequality is
+    never tight on the intersection of the others.  Exact.  ``vertex_set``
+    is the presentation's ``enumerate_vertices`` result, enumerated here when
+    not given.  A bounded, nonempty, full-dimensional polytope is decided on
+    its vertex-facet incidence; an empty one, or one with an index tight at
+    every vertex, by relaxing each index in turn.
+    """
+    if vertex_set is None:
+        vertex_set = enumerate_vertices(poly, budget)
+    if not vertex_set.empty:
+        if not vertex_set.bounded:
+            raise PolytopeError("redundancy analysis requires a bounded polytope")
+        flags = _incidence_redundancy(poly.n, vertex_set.vertices)
+        if flags is not None:
+            return flags
+    return _relaxation_redundancy(poly, budget)
+
+
+def structure_report(
+    poly: HPolytope,
+    budget: int = DEFAULT_SUBSET_BUDGET,
+    relations: Sequence[Sequence[int]] | None = None,
+) -> StructureReport:
+    """Run every structural predicate on one vertex enumeration and assemble the report.
+
+    ``relations`` is passed on to ``enumerate_vertices``.
+    """
     notes: list[str] = []
-    vertex_set = enumerate_vertices(poly, budget)
+    vertex_set = enumerate_vertices(poly, budget, relations)
     bounded = vertex_set.bounded and not vertex_set.empty
     if vertex_set.empty:
         notes.append("empty feasible set")
@@ -460,7 +611,7 @@ def structure_report(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> St
     redundant: tuple[int, ...] = ()
     strict: tuple[int, ...] = ()
     if bounded:
-        flags = redundancy(poly, budget)
+        flags = redundancy(poly, budget, vertex_set)
         redundant = tuple(sorted(flags))
         strict = tuple(sorted(i for i, s in flags.items() if s))
     elif not vertex_set.empty:

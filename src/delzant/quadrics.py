@@ -27,6 +27,7 @@ from .polytopes import (
     enumerate_vertices,
     format_rational,
     is_generic,
+    parse_integer,
     parse_rational,
 )
 
@@ -187,7 +188,7 @@ def parse_quadrics(text: str | bytes) -> QuadricSystem:
     rows = data["Gamma"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise PolytopeFormatError("'Gamma' must be a list of rows")
-    gamma = tuple(tuple(int(x) for x in row) for row in rows)
+    gamma = tuple(tuple(parse_integer(x, "entry of Gamma") for x in row) for row in rows)
     delta_raw = data["delta"]
     if not isinstance(delta_raw, list) or len(delta_raw) != len(gamma):
         raise PolytopeFormatError("'delta' must list one rational per quadric")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .polytopes import PolytopeFormatError
+from .polytopes import PolytopeFormatError, parse_bool, parse_integer
 
 
 class ProfileError(ValueError):
@@ -238,12 +238,14 @@ def parse_profile(text: str | bytes) -> HomologyProfile:
     dims_raw = data["dims"]
     if not isinstance(dims_raw, dict):
         raise PolytopeFormatError("'dims' must map degrees to dimensions")
+    dims = {
+        parse_integer(k, "degree in 'dims'"): parse_integer(v, "entry of 'dims'")
+        for k, v in dims_raw.items()
+    }
+    l_dim = parse_integer(data["L_dim"], "'L_dim'")
+    orientable = parse_bool(data["orientable"], "'orientable'")
     try:
-        dims = {int(k): int(v) for k, v in dims_raw.items()}
-    except (TypeError, ValueError):
-        raise PolytopeFormatError("'dims' entries must be integers") from None
-    try:
-        return HomologyProfile.from_dims(dims, int(data["L_dim"]), bool(data["orientable"]))
+        return HomologyProfile.from_dims(dims, l_dim, orientable)
     except ProfileError as exc:
         raise PolytopeFormatError(str(exc)) from None
 

@@ -91,6 +91,14 @@ class TestQuadrics:
         assert len(back["A"]) == 3 and len(back["A"][0]) == 5
 
 
+    @pytest.mark.parametrize("entry", [1.9, True])
+    def test_malformed_quadrics_exit_1(self, capsys, tmp_path, entry):
+        qfile = tmp_path / "quadrics.json"
+        qfile.write_text(json.dumps({"Gamma": [[entry, 1, 1]], "delta": ["1"]}))
+        code, out, err = run_cli(capsys, "quadrics", str(qfile), "--invert")
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
 class TestObstruct:
     def test_sphere_product_family(self, capsys):
         code, out, _ = run_cli(
@@ -113,6 +121,16 @@ class TestObstruct:
         code, out, _ = run_cli(capsys, "obstruct", str(profile), "--nmax", "8")
         assert code == 0
         assert json.loads(out)["admissible"] == [2, 4]
+
+    @pytest.mark.parametrize(
+        "field, value", [("orientable", "false"), ("L_dim", 3.7), ("dims", {"0": True})]
+    )
+    def test_malformed_profile_exits_1(self, capsys, tmp_path, field, value):
+        data = {"dims": {"0": 1, "3": 2, "6": 1}, "L_dim": 8, "orientable": True, field: value}
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "obstruct", str(profile))
+        assert code == 1 and out == "" and err.startswith("error:")
 
     def test_nmax_usage_error(self, capsys):
         code, out, err = run_cli(

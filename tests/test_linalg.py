@@ -228,6 +228,26 @@ class TestSolvers:
             m = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
             assert linalg.det(m) == _cofactor_det(m)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5)
+        .flatmap(lambda d: small_matrices(d, d, -4, 4))
+        .filter(lambda m: len(m) == len(m[0]) and linalg.det(m) != 0)
+    )
+    def test_inverse_numerators_over_one_denominator(self, m):
+        numerators, den = linalg.inverse(m)
+        d = len(m)
+        scaled_identity = [[den * (i == j) for j in range(d)] for i in range(d)]
+        assert linalg.mat_mul(numerators, m) == scaled_identity
+        # the same columns solve_square finds
+        for j in range(d):
+            column = [Fraction(row[j], den) for row in numerators]
+            assert column == linalg.solve_square(m, [int(i == j) for i in range(d)])
+
+    def test_inverse_rejects_singular(self):
+        with pytest.raises(linalg.LinearAlgebraError):
+            linalg.inverse([[1, 2], [2, 4]])
+
 
 def _cofactor_det(m):
     d = len(m)

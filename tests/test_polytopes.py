@@ -139,6 +139,20 @@ class TestVertexEnumeration:
         with pytest.raises(SubsetBudgetError):
             enumerate_vertices(product_simplices(4, 10, 0), budget=3)
 
+    @pytest.mark.parametrize(
+        "search, stage, requested",
+        [
+            (lambda: enumerate_vertices(product_simplices(4, 10, 0), budget=3), "Gale", 45),
+            (lambda: enumerate_vertices(unit_square(), budget=3), "k-subsets", 6),
+            (lambda: is_bounded(unit_square(), budget=3), "positive-relation", 6),
+        ],
+    )
+    def test_budget_error_names_count_budget_and_stage(self, search, stage, requested):
+        message = f"{stage}.*: {requested} subsets exceed the budget of 3"
+        with pytest.raises(SubsetBudgetError, match=message) as info:
+            search()
+        assert (info.value.requested, info.value.budget) == (requested, 3)
+
     def test_permutation_invariance(self):
         rng = random.Random(5)
         poly = product_simplices(4, 8, 2)

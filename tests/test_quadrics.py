@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from delzant import linalg
-from delzant.polytopes import HPolytope, enumerate_vertices, structure_report
+from delzant.polytopes import (
+    HPolytope,
+    PolytopeFormatError,
+    enumerate_vertices,
+    structure_report,
+)
 from delzant.quadrics import (
     QuadricError,
     QuadricSystem,
@@ -170,6 +175,16 @@ class TestNondegeneracy:
 
 
 class TestQuadricJson:
+    @pytest.mark.parametrize(
+        "gamma, delta",
+        [([[1.9, 1]], ["1"]), ([[1, True]], ["1"]), ([["1.5", 1]], ["1"]), ([[1, 1]], [0.5])],
+    )
+    def test_rejects_coercible_entries(self, gamma, delta):
+        import json
+
+        with pytest.raises(PolytopeFormatError):
+            parse_quadrics(json.dumps({"Gamma": gamma, "delta": delta}))
+
     def test_roundtrip(self):
         q = polytope_to_quadrics(redundant_simplex(5, 2))
         import json

@@ -1,8 +1,10 @@
+import json
 import math
 import random
 
 import pytest
 
+from delzant.polytopes import PolytopeFormatError
 from delzant.spectral import (
     HomologyProfile,
     ProfileError,
@@ -11,6 +13,8 @@ from delzant.spectral import (
     binomial_lemma,
     brute_force_vanishes,
     collapse_page,
+    parse_profile,
+    profile_to_json,
     run_engine,
 )
 
@@ -30,6 +34,28 @@ def sphere_power(p, m, l_dim):
 def connected_sum(p):
     dims = {0: 1, 2 * p - 1: 5, 3 * p - 2: 5, 5 * p - 3: 1}
     return HomologyProfile.from_dims(dims, 5 * p, orientable=True)
+
+
+class TestProfileJson:
+    def test_roundtrip(self):
+        profile = sphere_product(4, 6, 10)
+        assert parse_profile(json.dumps(profile_to_json(profile))) == profile
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("orientable", "false"),
+            ("orientable", 1),
+            ("L_dim", 3.7),
+            ("L_dim", True),
+            ("dims", {"0": 1, "3": 1.5}),
+            ("dims", {"0": 1, "1.0": 1}),
+        ],
+    )
+    def test_rejects_coercible_fields(self, field, value):
+        data = {"dims": {"0": 1, "3": 1}, "L_dim": 8, "orientable": True, field: value}
+        with pytest.raises(PolytopeFormatError, match=field.split("_")[0]):
+            parse_profile(json.dumps(data))
 
 
 class TestRunEngine:

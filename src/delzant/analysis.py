@@ -124,7 +124,7 @@ def analyze_polytope(
     else:
         loops = inv.loop_lattice(deck, system, structure.strict_redundant)
     report = inv.maslov_area_report(deck, system, loops)
-    topology = recognize_topology(system, structure.strict_redundant)
+    topology = recognize_topology(system, structure.strict_redundant, deck)
     assumptions = list(report.assumptions)
     if (
         topology is not None

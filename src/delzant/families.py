@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .invariants import DeckData, deck_data
 from .polytopes import HPolytope, PolytopeFormatError
 from .quadrics import QuadricSystem
 from .spectral import HomologyProfile
@@ -170,11 +171,10 @@ def _core_rows(system: QuadricSystem, strict_redundant: list[int]):
     return coefficients, rhs
 
 
-def _flip_parities(system: QuadricSystem, core_columns: list[int]) -> list[int] | None:
+def _flip_parities(
+    deck: DeckData, system: QuadricSystem, core_columns: list[int]
+) -> list[int] | None:
     """Per dual-basis-generator count of core coordinates flipped, mod 2."""
-    from .invariants import deck_data
-
-    deck = deck_data(system)
     parities = []
     for eps in deck.dual_basis:
         count = 0
@@ -188,7 +188,9 @@ def _flip_parities(system: QuadricSystem, core_columns: list[int]) -> list[int] 
 
 
 def recognize_topology(
-    system: QuadricSystem, strict_redundant: list[int] | tuple[int, ...] = ()
+    system: QuadricSystem,
+    strict_redundant: list[int] | tuple[int, ...] = (),
+    deck: DeckData | None = None,
 ) -> TopologyTag | None:
     """Match against the fixed catalog; None means Unknown.
 
@@ -196,7 +198,8 @@ def recognize_topology(
     columns split into blocks v_b, v_c (and optionally v_a = v_b + v_c)
     with unimodular (v_b, v_c) are a product of two spheres, the splitting
     decided by the right-hand sides.  Strictly redundant slacks multiply
-    the component count by two each.
+    the component count by two each.  ``deck`` is the system's
+    ``invariants.deck_data``, computed when not given.
     """
     strict = sorted(set(strict_redundant))
     core = _core_rows(system, strict)
@@ -206,7 +209,9 @@ def recognize_topology(
     core_columns = [j for j in range(system.n) if j not in strict]
     torus_rank = system.m
     components = 2 ** len(strict)
-    parities = _flip_parities(system, core_columns)
+    if deck is None:
+        deck = deck_data(system)
+    parities = _flip_parities(deck, system, core_columns)
     orientable = parities is not None and not any(parities)
 
     if len(coefficients) == 1:

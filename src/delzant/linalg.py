@@ -3,7 +3,10 @@
 Matrices are row-major lists of rows whose entries are Python ``int`` or
 ``fractions.Fraction``, so everything here is exact and overflow-free.
 Lattices are represented by basis rows; the canonical representative of a
-row lattice is its row Hermite normal form.
+row lattice is its row Hermite normal form.  Square solves, determinants,
+ranks, inverses and span coefficients share one fraction-free (Bareiss)
+elimination kernel; only ``solve_affine`` keeps a Fraction Gauss-Jordan for
+the pivot-supported particular solution of an underdetermined system.
 """
 
 from __future__ import annotations
@@ -185,97 +188,108 @@ def snf_diagonal(matrix: Matrix) -> list[int]:
     return diag
 
 
-def _divide(value, pivot):
-    if pivot == 1:
-        return value
-    if pivot == -1:
-        return -value
-    return Fraction(value) / pivot
+def _integral(row) -> tuple[list[int], int]:
+    """``row`` times the lcm of its entries' denominators, and that lcm.
+
+    Bareiss elimination divides with ``//``, which is exact on integers but
+    floors a Fraction, so a rational row is cleared of denominators first;
+    scaling an equation does not change its solutions.
+    """
+    for x in row:
+        if type(x) is not int:
+            scale = math.lcm(*(Fraction(x).denominator for x in row))
+            return [int(x * scale) for x in row], scale
+    return list(row), 1
+
+
+def _bareiss(rows: list[list[int]], width: int) -> tuple[list[int], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Bareiss's method (Math. Comp. 1968): each step multiplies by the new
+    pivot and divides exactly by the previous one, so every entry stays a
+    minor (or an adjugate entry) of the input and no fraction is formed.
+    Pivots are taken in the first ``width`` columns, from the first row
+    that has one, and made positive; entries past ``width`` (right-hand
+    sides) ride along.  Afterwards row r holds the r-th pivot, in column
+    ``columns[r]``, every pivot row carries the last pivot ``d`` in its
+    pivot column, and the pivot columns are zero elsewhere.  Returns
+    ``(columns, order, sign)``: ``order[r]`` is the input index of row r,
+    and ``d == sign * det`` for a nonsingular square input.
+    """
+    m = len(rows)
+    order = list(range(m))
+    columns: list[int] = []
+    sign = previous = 1
+    for c in range(width):
+        r = len(columns)
+        for p in range(r, m):
+            if rows[p][c]:
+                break
+        else:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            order[r], order[p] = order[p], order[r]
+            sign = -sign
+        if rows[r][c] < 0:
+            # negating the pivot row keeps every division exact, and equal
+            # pivots let a row with nothing to eliminate skip the step
+            rows[r] = [-x for x in rows[r]]
+            sign = -sign
+        top = rows[r]
+        pivot = top[c]
+        for i in range(m):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            if f:
+                rows[i] = [(pivot * x - f * y) // previous for x, y in zip(row, top)]
+            elif pivot != previous:
+                rows[i] = [pivot * x // previous for x in row]
+        columns.append(c)
+        if len(columns) == m:
+            break
+        previous = pivot
+    return columns, order, sign
+
+
+def _solve(rows: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
+    """``(N, d)`` with ``A^-1 B == N / d`` and ``d > 0`` for integer rows ``[A | B]``.
+
+    ``A`` is the leading n x n block; returns None when it is singular.
+    After the elimination ``A`` has become ``d * I``, so the riding columns
+    are ``d * A^-1 B``.
+    """
+    if len(_bareiss(rows, n)[0]) < n:
+        return None
+    return [row[n:] for row in rows], rows[-1][n - 1] if n else 1
 
 
 def rational_rank(matrix: Matrix) -> int:
-    """Rank over the rationals, by sparse elimination."""
-    eqs: list[dict[int, object]] = []
-    occurs: dict[int, set[int]] = {}
-    for e, row in enumerate(matrix):
-        d = {j: x for j, x in enumerate(row) if x}
-        eqs.append(d)
-        for j in d:
-            occurs.setdefault(j, set()).add(e)
-    active = set(range(len(eqs)))
-    rank = 0
-    while active:
-        e = min(active, key=lambda i: len(eqs[i]))
-        d = eqs[e]
-        active.discard(e)
-        if not d:
-            continue
-        rank += 1
-        j = min(d, key=lambda v: (abs(d[v]) != 1, abs(d[v]), v))
-        piv = d[j]
-        for j2 in d:
-            occurs[j2].discard(e)
-        for e2 in list(occurs.get(j, ())):
-            d2 = eqs[e2]
-            factor = _divide(d2[j], piv)
-            for j2, x in d.items():
-                new = d2.get(j2, 0) - factor * x
-                if new:
-                    d2[j2] = new
-                    occurs.setdefault(j2, set()).add(e2)
-                elif j2 in d2:
-                    del d2[j2]
-                    occurs[j2].discard(e2)
-    return rank
+    """Rank over the rationals."""
+    return len(independent_rows(matrix))
+
+
+def independent_rows(matrix: Matrix) -> list[int]:
+    """Ascending indices of a maximal linearly independent set of rows.
+
+    They are the pivot rows of the elimination.
+    """
+    rows = [_integral(row)[0] for row in matrix]
+    columns, order, _ = _bareiss(rows, len(rows[0]) if rows else 0)
+    return sorted(order[: len(columns)])
 
 
 def solve_square(rows: Matrix, rhs: Sequence) -> list[Fraction] | None:
-    """Unique rational solution of a square linear system, or None if singular.
-
-    Sparse-aware elimination: pivots are chosen on the shortest equation,
-    preferring unit coefficients, so systems dominated by coordinate rows
-    cost little.
-    """
-    n = len(rows)
-    eqs: list[tuple[dict[int, object], object]] = []
-    occurs: dict[int, set[int]] = {}
-    for e, (row, c) in enumerate(zip(rows, rhs)):
-        d = {j: x for j, x in enumerate(row) if x}
-        eqs.append((d, c))
-        for j in d:
-            occurs.setdefault(j, set()).add(e)
-    active = set(range(n))
-    solved: list[tuple[dict[int, object], object, int]] = []
-    while active:
-        e = min(active, key=lambda i: len(eqs[i][0]))
-        d, c = eqs[e]
-        if not d:
-            return None
-        active.discard(e)
-        j = min(d, key=lambda v: (abs(d[v]) != 1, abs(d[v]), v))
-        piv = d[j]
-        solved.append((d, c, j))
-        for j2 in d:
-            occurs[j2].discard(e)
-        for e2 in list(occurs.get(j, ())):
-            d2, c2 = eqs[e2]
-            factor = _divide(d2[j], piv)
-            for j2, x in d.items():
-                new = d2.get(j2, 0) - factor * x
-                if new:
-                    d2[j2] = new
-                    occurs.setdefault(j2, set()).add(e2)
-                elif j2 in d2:
-                    del d2[j2]
-                    occurs[j2].discard(e2)
-            eqs[e2] = (d2, c2 - factor * c)
-    values: dict[int, object] = {}
-    for d, c, j in reversed(solved):
-        acc = c - sum(x * values[v] for v, x in d.items() if v != j)
-        values[j] = _divide(acc, d[j])
-    if len(values) != n:
+    """Unique rational solution of a square linear system, or None if singular."""
+    solved = _solve([_integral([*row, c])[0] for row, c in zip(rows, rhs)], len(rows))
+    if solved is None:
         return None
-    return [Fraction(values[j]) for j in range(n)]
+    numerators, den = solved
+    if den == 1:  # the common unimodular case; Fraction(int) skips the gcd
+        return [Fraction(x) for x, in numerators]
+    return [Fraction(x, den) for x, in numerators]
 
 
 def det(rows: Matrix) -> Fraction:
@@ -283,90 +297,33 @@ def det(rows: Matrix) -> Fraction:
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    eqs: list[dict[int, object]] = []
-    occurs: dict[int, set[int]] = {}
-    for e, row in enumerate(rows):
-        d = {j: x for j, x in enumerate(row) if x}
-        eqs.append(d)
-        for j in d:
-            occurs.setdefault(j, set()).add(e)
-    active = set(range(n))
-    pivots: list[tuple[int, int]] = []  # (equation index, pivot column)
-    product = 1
-    while active:
-        e = min(active, key=lambda i: len(eqs[i]))
-        d = eqs[e]
-        if not d:
-            return Fraction(0)
-        active.discard(e)
-        j = min(d, key=lambda v: (abs(d[v]) != 1, abs(d[v]), v))
-        piv = d[j]
-        product *= piv
-        pivots.append((e, j))
-        for j2 in d:
-            occurs[j2].discard(e)
-        for e2 in list(occurs.get(j, ())):
-            d2 = eqs[e2]
-            factor = _divide(d2[j], piv)
-            for j2, x in d.items():
-                new = d2.get(j2, 0) - factor * x
-                if new:
-                    d2[j2] = new
-                    occurs.setdefault(j2, set()).add(e2)
-                elif j2 in d2:
-                    del d2[j2]
-                    occurs[j2].discard(e2)
-    # sign of the permutation sending equation order to pivot columns
-    perm = [0] * n
-    for e, j in pivots:
-        perm[e] = j
-    seen = [False] * n
-    sign = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return Fraction(product * sign)
+    scaled = [_integral(row) for row in rows]
+    ints = [row for row, _ in scaled]
+    columns, _, sign = _bareiss(ints, n)
+    if len(columns) < n:
+        return Fraction(0)
+    return Fraction(sign * ints[-1][-1], math.prod(scale for _, scale in scaled))
 
 
 def inverse(rows: Matrix) -> tuple[list[list[int]], int]:
     """Inverse of a nonsingular square matrix as integer numerators over one denominator.
 
-    Returns ``(N, d)`` with ``rows^-1 == N / d``, by sparse Gauss-Jordan
-    elimination on ``[rows | I]`` with the shortest row as pivot.
+    Returns ``(N, d)`` with ``rows^-1 == N / d`` and d the least common
+    denominator of the entries.
     """
     n = len(rows)
-    aug = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    for i, d in enumerate(aug):
-        d[n + i] = 1
-    for col in range(n):
-        candidates = [i for i in range(col, n) if col in aug[i]]
-        if not candidates:
-            raise LinearAlgebraError("matrix is singular")
-        best = min(candidates, key=lambda i: len(aug[i]))
-        aug[col], aug[best] = aug[best], aug[col]
-        piv = aug[col][col]
-        pivot_row = {j: _divide(x, piv) for j, x in aug[col].items()}
-        aug[col] = pivot_row
-        for i, d in enumerate(aug):
-            if i == col or col not in d:
-                continue
-            factor = d[col]
-            for j, x in pivot_row.items():
-                new = d.get(j, 0) - factor * x
-                if new:
-                    d[j] = new
-                else:
-                    del d[j]
-    den = math.lcm(*(Fraction(x).denominator for d in aug for x in d.values()))
-    return [[int(aug[i].get(n + j, 0) * den) for j in range(n)] for i in range(n)], den
+    augmented = []
+    for i, row in enumerate(rows):
+        ints, scale = _integral(row)
+        unit = [0] * n
+        unit[i] = scale
+        augmented.append(ints + unit)
+    solved = _solve(augmented, n)
+    if solved is None:
+        raise LinearAlgebraError("matrix is singular")
+    numerators, den = solved
+    common = math.gcd(den, *(x for row in numerators for x in row))
+    return [[x // common for x in row] for row in numerators], den // common
 
 
 def solve_affine(rows: Matrix, rhs: Sequence):
@@ -420,17 +377,18 @@ def solve_in_span(basis: Matrix, targets: Matrix) -> list[list[Fraction]] | None
         if any(any(x for x in target) for target in targets):
             return None
         return [[] for _ in targets]
-    bt = transpose(basis)
-    coeffs = []
-    for target in targets:
-        sol = solve_affine(bt, list(target))
-        if sol is None:
-            return None
-        particular, null_basis = sol
-        if null_basis:
-            raise LinearAlgebraError("basis rows are linearly dependent")
-        coeffs.append(particular)
-    return coeffs
+    r = len(basis)
+    rows = [
+        _integral([*column, *(target[j] for target in targets)])[0]
+        for j, column in enumerate(zip(*basis))
+    ]
+    rank = len(_bareiss(rows, r)[0])
+    if any(any(row[r:]) for row in rows[rank:]):
+        return None
+    if rank < r:
+        raise LinearAlgebraError("basis rows are linearly dependent")
+    den = rows[r - 1][r - 1]
+    return [[Fraction(rows[i][r + t], den) for i in range(r)] for t in range(len(targets))]
 
 
 def snf_index(sub: Matrix, sup: Matrix) -> int:
@@ -471,14 +429,9 @@ def dual_lattice(basis: Matrix) -> list[list[Fraction]]:
     d = len(basis)
     if d == 0 or len(basis[0]) != d:
         raise LinearAlgebraError("dual lattice needs a full-rank square basis")
-    dual_rows = []  # rows of (B^-1)^T are the columns of B^-1
-    for i in range(d):
-        rhs = [Fraction(int(j == i)) for j in range(d)]
-        col = solve_square(basis, rhs)
-        if col is None:
-            raise LinearAlgebraError("basis is singular")
-        dual_rows.append(col)
-    return canonical_rational_basis(dual_rows)
+    numerators, den = inverse(basis)
+    # rows of (B^-1)^T are the columns of B^-1
+    return canonical_rational_basis([[Fraction(x, den) for x in col] for col in zip(*numerators)])
 
 
 def canonical_rational_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:

@@ -462,32 +462,43 @@ def is_delzant(poly: HPolytope, vertex_set: VertexSet) -> bool:
     return True
 
 
-def is_fano(poly: HPolytope):
+def is_fano(poly: HPolytope, relations: Sequence[Sequence[int]] | None = None):
     """Fano up to translation.
 
     True iff every normal is primitive and there are ``C > 0`` and rational
     ``y`` with ``b - C*1 = A^T y``, i.e. translating by ``-y`` makes every
     offset equal to ``C``.  Returns ``(flag, C, y)``.
+
+    The image of ``A^T`` is the kernel of the relation rows ``Gamma``
+    (``relations``, computed when not given), so C is read off
+    ``Gamma b = C * Gamma 1``; when ``Gamma 1 = 0`` every C works and 1 is
+    reported.  When the normals span R^k, y solves the k x k system of the
+    normals off the pivot columns of ``Gamma``, which are independent.
+    Otherwise y is not unique, and the solution supported on the pivot
+    columns of the normals' elimination is reported.
     """
     for a in poly.normals:
         if math.gcd(*(abs(x) for x in a)) != 1:
             return False, None, None
-    system = [list(a) + [1] for a in poly.normals]
-    sol = linalg.solve_affine(system, list(poly.offsets))
-    if sol is None:
-        return False, None, None
-    particular, null_basis = sol
-    constant_free = any(vec[-1] for vec in null_basis)
-    constant = Fraction(1) if constant_free else particular[-1]
-    if constant <= 0:
+    if relations is None:
+        relations = _relation_rows(poly)
+    ones = [sum(row) for row in relations]
+    values = [linalg.dot(row, poly.offsets) for row in relations]
+    r = next((r for r, x in enumerate(ones) if x), None)
+    constant = Fraction(1) if r is None else values[r] / ones[r]
+    if constant <= 0 or any(v != constant * x for v, x in zip(values, ones)):
         return False, None, None
     target = [b - constant for b in poly.offsets]
-    reduced = linalg.solve_affine([list(a) for a in poly.normals], target)
-    if reduced is None:
-        return False, None, None
-    translation, _ = reduced
+    if len(relations) != poly.n - poly.dim:
+        translation, _ = linalg.solve_affine([list(a) for a in poly.normals], target)
+    else:
+        columns = [[row[j] for row in relations] for j in range(poly.n)]
+        basis = set(linalg.independent_rows(columns))
+        tight = [i for i in range(poly.n) if i not in basis]
+        translation = linalg.solve_square(
+            [poly.normals[i] for i in tight], [target[i] for i in tight]
+        )
     return True, constant, tuple(translation)
-
 
 
 def _incidence_redundancy(n: int, vertices: Sequence[Vertex]) -> dict[int, bool] | None:
@@ -607,7 +618,7 @@ def structure_report(
                 notes.append(str(exc))
         else:
             delzant = False
-    fano, constant, translation = is_fano(poly)
+    fano, constant, translation = is_fano(poly, vertex_set.relations)
     redundant: tuple[int, ...] = ()
     strict: tuple[int, ...] = ()
     if bounded:

@@ -1,21 +1,98 @@
-"""Test-only reference: the primal k-subset structure layer.
+"""Test-only reference: the primal k-subset structure layer and dense solvers.
 
 Every k-subset of the inequalities is solved as a k x k system for the
 point, and redundancy re-enumerates the relaxation obtained by dropping
-each index.  Lattice indices are k x k determinant ratios.  Nothing here
-uses the relation rows' minors, the Gale dual or the vertex-facet
-incidence, so the differential tests compare the library with a separate
-derivation of the same answers; only the exact ``linalg`` solvers are
-shared.
+each index.  Lattice indices are k x k determinant ratios, and the Fano
+test solves the n x (k+1) system ``[A^T | 1]`` for the translation and the
+constant.  Nothing here uses the relation rows' minors, the Gale dual or
+the vertex-facet incidence, and the square solves, ranks, determinants and
+affine solutions come from the dense Fraction Gauss-Jordan elimination
+below, not from ``linalg``'s fraction-free kernel; only ``integer_kernel``,
+``row_basis`` and ``dot`` are shared.  The differential tests therefore
+compare the library with a separate derivation of the same answers.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 from delzant import linalg
 from delzant.polytopes import HPolytope
+
+
+def _rref(rows, width):
+    """Reduced row echelon form over the rationals, pivoting on the first nonzero row.
+
+    Returns ``(reduced rows, pivot columns, det factor)``; the factor is the
+    product of the pivots with the sign of the row swaps, which is the
+    determinant of a nonsingular square input.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    factor = Fraction(1)
+    for col in range(width):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            factor = -factor
+        pivot = a[r][col]
+        factor *= pivot
+        a[r] = [x / pivot if x else x for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots, factor
+
+
+def rank(matrix) -> int:
+    return len(_rref(matrix, len(matrix[0]) if matrix else 0)[1])
+
+
+def det(rows) -> Fraction:
+    _, pivots, factor = _rref(rows, len(rows))
+    return factor if len(pivots) == len(rows) else Fraction(0)
+
+
+def solve_affine(rows, rhs):
+    """``(particular, null basis)`` of ``rows @ x == rhs``, the particular
+    solution supported on the pivot columns; None when inconsistent."""
+    n = len(rows[0]) if rows else 0
+    a, pivots, _ = _rref([list(row) + [c] for row, c in zip(rows, rhs)], n)
+    if any(row[n] for row in a[len(pivots):]):
+        return None
+    particular = [Fraction(0)] * n
+    for r, col in enumerate(pivots):
+        particular[col] = a[r][n]
+    null_basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -a[r][f]
+        null_basis.append(vec)
+    return particular, null_basis
+
+
+def solve_square(rows, rhs):
+    """Unique solution of a square system, or None if singular."""
+    n = len(rows)
+    a, pivots, _ = _rref([list(row) + [c] for row, c in zip(rows, rhs)], n)
+    return [row[n] for row in a] if len(pivots) == n else None
+
+
+def inverse(rows):
+    """The inverse as a matrix of Fractions; None if singular."""
+    n = len(rows)
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    a, pivots, _ = _rref([list(row) + e for row, e in zip(rows, unit)], n)
+    return [row[n:] for row in a] if len(pivots) == n else None
 
 
 def _integer_rows(poly):
@@ -29,7 +106,7 @@ def _candidates(rows, k):
     """(point, scaled values) for each feasible basic solution of k rows."""
     seen = set()
     for subset in combinations(range(len(rows)), k):
-        sol = linalg.solve_square([rows[i][0] for i in subset], [-rows[i][1] for i in subset])
+        sol = solve_square([rows[i][0] for i in subset], [-rows[i][1] for i in subset])
         if sol is None or tuple(sol) in seen:
             continue
         seen.add(tuple(sol))
@@ -50,7 +127,7 @@ def _positive_relation(relations, n):
         return n == 0
     cols = [tuple(row[j] for row in relations) for j in range(n)]
     for subset in combinations(range(n), m):
-        sol = linalg.solve_square([cols[i] for i in subset], [1] * m)
+        sol = solve_square([cols[i] for i in subset], [1] * m)
         if sol is not None and all(linalg.dot(sol, col) >= 1 for col in cols):
             return True
     return False
@@ -59,7 +136,7 @@ def _positive_relation(relations, n):
 def is_bounded(poly: HPolytope) -> bool:
     if poly.dim == 0:
         return True
-    if linalg.rational_rank([list(a) for a in poly.normals]) < poly.dim:
+    if rank([list(a) for a in poly.normals]) < poly.dim:
         return False
     return _positive_relation(_relations(poly), poly.n)
 
@@ -84,7 +161,7 @@ def enumerate_vertices(poly: HPolytope) -> dict:
             return {"vertices": [], "bounded": True, "empty": True, "pointed": True}
         active = tuple(i for i, b in enumerate(poly.offsets) if b == 0)
         return {"vertices": [((), active)], "bounded": True, "empty": False, "pointed": True}
-    if linalg.rational_rank([list(a) for a in poly.normals]) < k:
+    if rank([list(a) for a in poly.normals]) < k:
         empty = not _reduced_feasible(poly)
         return {"vertices": [], "bounded": False, "empty": empty, "pointed": False}
     vertices = sorted(
@@ -123,16 +200,34 @@ def redundancy(poly: HPolytope) -> dict[int, bool]:
 def is_generic(poly: HPolytope, vertices) -> bool:
     for _, active in vertices:
         rows = [list(poly.normals[i]) for i in active]
-        if len(rows) > poly.dim or linalg.rational_rank(rows) != len(rows):
+        if len(rows) > poly.dim or rank(rows) != len(rows):
             return False
     return True
 
 
 def is_delzant(poly: HPolytope, vertices) -> bool:
     """Every vertex index |det A_S| / |det(normal lattice basis)| equals 1."""
-    lattice_det = abs(linalg.det(linalg.row_basis([list(a) for a in poly.normals])))
+    lattice_det = abs(det(linalg.row_basis([list(a) for a in poly.normals])))
     return all(
-        abs(linalg.det([list(poly.normals[i]) for i in active])) == lattice_det
+        abs(det([list(poly.normals[i]) for i in active])) == lattice_det
         for _, active in vertices
     )
 
+
+def is_fano(poly: HPolytope):
+    """``(flag, C, y)``: primitive normals and ``b - C*1 = A^T y`` with ``C > 0``,
+    solved as one n x (k+1) system; C is 1 when the system leaves it free."""
+    for a in poly.normals:
+        if math.gcd(*(abs(x) for x in a)) != 1:
+            return False, None, None
+    sol = solve_affine([list(a) + [1] for a in poly.normals], list(poly.offsets))
+    if sol is None:
+        return False, None, None
+    particular, null_basis = sol
+    constant = Fraction(1) if any(vec[-1] for vec in null_basis) else particular[-1]
+    if constant <= 0:
+        return False, None, None
+    reduced = solve_affine([list(a) for a in poly.normals], [b - constant for b in poly.offsets])
+    if reduced is None:
+        return False, None, None
+    return True, constant, tuple(reduced[0])

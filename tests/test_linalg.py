@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delzant import linalg
+
+from . import primal_reference as ref
 
 
 def small_matrices(max_rows=4, max_cols=5, lo=-9, hi=9):
@@ -308,3 +311,111 @@ class TestHnfCanonicality:
             assert coeffs is not None
             assert all(Fraction(c).denominator == 1 for row in coeffs for c in row)
             assert abs(linalg.det(coeffs)) == 1
+
+
+def _square(element, max_n=5):
+    """n x n matrices, n from 0, with a row made a multiple of another half the time."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(0, max_n))
+        rows = draw(st.lists(st.lists(element, min_size=n, max_size=n), min_size=n, max_size=n))
+        if n and draw(st.booleans()):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            q = draw(element)  # q = 0 makes a zero row
+            rows[i] = [q * x for x in rows[j]]
+        return rows
+
+    return build()
+
+
+INTEGERS = st.integers(-6, 6)
+RATIONALS = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+)
+ENTRIES = st.sampled_from([INTEGERS, RATIONALS])
+KERNEL_SETTINGS = settings(max_examples=100, deadline=None)
+
+
+class TestKernelAgainstReference:
+    """The Bareiss kernel's wrappers against dense Fraction Gauss-Jordan.
+
+    ``primal_reference`` shares no solver with ``linalg``; the inputs mix
+    integer and non-integral rational entries, singular matrices (zero and
+    dependent rows), 0 x 0 and zero-row inputs, and non-square ranks.
+    """
+
+    @KERNEL_SETTINGS
+    @given(ENTRIES.flatmap(lambda e: st.tuples(_square(e), st.lists(e, min_size=5, max_size=5))))
+    def test_solve_square(self, case):
+        rows, rhs = case
+        rhs = rhs[: len(rows)]
+        solution = linalg.solve_square(rows, rhs)
+        assert solution == ref.solve_square(rows, rhs)
+        if solution is not None:
+            assert all(type(x) is Fraction for x in solution)
+
+    @KERNEL_SETTINGS
+    @given(ENTRIES.flatmap(_square))
+    def test_det(self, rows):
+        value = linalg.det(rows)
+        assert type(value) is Fraction
+        assert value == ref.det(rows)
+
+    @KERNEL_SETTINGS
+    @given(ENTRIES.flatmap(_square))
+    def test_inverse(self, rows):
+        expected = ref.inverse(rows)
+        if expected is None:
+            with pytest.raises(linalg.LinearAlgebraError):
+                linalg.inverse(rows)
+            return
+        numerators, den = linalg.inverse(rows)
+        assert all(type(x) is int for row in numerators for x in row)
+        assert [[Fraction(x, den) for x in row] for row in numerators] == expected
+        # the least common denominator of the entries
+        assert den == math.lcm(*(x.denominator for row in expected for x in row))
+
+    @KERNEL_SETTINGS
+    @given(
+        st.tuples(ENTRIES, st.integers(0, 5), st.integers(0, 5)).flatmap(
+            lambda t: st.lists(
+                st.lists(t[0], min_size=t[2], max_size=t[2]), min_size=t[1], max_size=t[1]
+            )
+        )
+    )
+    def test_rank_and_independent_rows(self, matrix):
+        rank = linalg.rational_rank(matrix)
+        assert rank == ref.rank(matrix)
+        chosen = linalg.independent_rows(matrix)
+        assert chosen == sorted(set(chosen)) and len(chosen) == rank
+        assert ref.rank([matrix[i] for i in chosen]) == rank
+
+    @KERNEL_SETTINGS
+    @given(
+        st.tuples(ENTRIES, st.integers(1, 5)).flatmap(
+            lambda t: st.tuples(
+                st.lists(st.lists(t[0], min_size=t[1], max_size=t[1]), min_size=1, max_size=5),
+                st.lists(st.lists(t[0], min_size=t[1], max_size=t[1]), max_size=3),
+                st.lists(st.lists(t[0], min_size=5, max_size=5), max_size=3),
+            )
+        )
+    )
+    def test_solve_in_span(self, case):
+        matrix, others, mix = case
+        basis = [matrix[i] for i in linalg.independent_rows(matrix)]
+        # targets inside the span, and arbitrary ones
+        inside = [
+            [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(len(matrix[0]))]
+            for coeffs in mix
+        ]
+        targets = inside + others
+        columns = linalg.transpose(basis) or [[] for _ in matrix[0]]
+        expected = []
+        for target in targets:
+            solution = ref.solve_affine(columns, target)
+            if solution is None:
+                expected = None
+                break
+            expected.append(solution[0])
+        assert linalg.solve_in_span(basis, targets) == expected

@@ -7,6 +7,7 @@ reference's vertices (points and active sets), flags, redundancy and
 Delzant verdicts.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -19,6 +20,7 @@ from delzant.polytopes import (
     PolytopeError,
     enumerate_vertices,
     is_delzant,
+    is_fano,
     is_generic,
     is_simple,
     redundancy,
@@ -188,3 +190,67 @@ class TestGaleMinors:
             minor = linalg.det([[row[j] for j in complement] for row in gamma])
             active = linalg.det([normals[i] for i in subset])
             assert abs(active) == lattice * abs(minor)
+
+
+rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def fano_candidates(draw):
+    """A simplex with extra normals, random normals, normals on the hyperplane
+    ``<., e_1> = 1`` (so ``Gamma 1 = 0``) or normals of rank r < k; made
+    primitive or left as drawn.  Offsets are a translated constant
+    ``C + <a_i, y>`` (C of either sign, rational y) or arbitrary rationals.
+    Bounded, unbounded and empty sets all occur."""
+    k = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["simplex", "random", "affine", "deficient"]))
+    r = draw(st.integers(1, k - 1)) if shape == "deficient" and k > 1 else k
+    normals = []
+    if shape == "simplex":
+        normals = [[int(i == j) for j in range(k)] for i in range(k)] + [[-1] * k]
+    for _ in range(draw(st.integers(0 if normals else 1, 3 if normals else k + 4))):
+        a = draw(st.lists(small, min_size=r, max_size=r).filter(any))
+        if shape == "affine":
+            a[0] = 1
+        normals.append(a + [0] * (k - r))
+    if r < k:  # hide the deficiency from the coordinates with a unimodular shear
+        normals = [a[:-1] + [a[-1] + a[0]] for a in normals]
+    if draw(st.booleans()):
+        normals = [[x // math.gcd(*a) for x in a] for a in normals]
+    if draw(st.booleans()):
+        constant = draw(rational)
+        y = draw(st.lists(rational, min_size=k, max_size=k))
+        offsets = [constant + linalg.dot(a, y) for a in normals]
+    else:
+        offsets = draw(st.lists(rational, min_size=len(normals), max_size=len(normals)))
+    return HPolytope(k, tuple(map(tuple, normals)), tuple(Fraction(b) for b in offsets))
+
+
+def _exact(result):
+    _, constant, translation = result
+    if constant is not None:
+        assert type(constant) is Fraction
+        assert all(type(x) is Fraction for x in translation)
+    return result
+
+
+class TestFanoAgainstReference:
+    @settings(SETTINGS, max_examples=200)
+    @given(fano_candidates())
+    def test_flag_constant_and_translation(self, poly):
+        expected = ref.is_fano(poly)
+        assert _exact(is_fano(poly)) == expected
+        assert _exact(is_fano(poly, enumerate_vertices(poly).relations)) == expected
+        report = structure_report(poly)
+        assert (report.fano, report.fano_constant, report.fano_translation) == expected
+
+    def test_cases_are_exercised(self):
+        # Gamma 1 = 0 with a consistent offset, a rank-deficient translated
+        # presentation, and a non-primitive normal
+        strip = HPolytope(2, ((1, 0), (1, 1), (1, -1)), (Fraction(3), Fraction(1), Fraction(5)))
+        assert not any(sum(row) for row in enumerate_vertices(strip).relations)
+        slab = HPolytope(2, ((1, 1), (-1, -1)), (Fraction(5, 2), Fraction(-1, 2)))
+        doubled = HPolytope(1, ((2,), (-1,)), (Fraction(1), Fraction(1)))
+        for poly, flag in ((strip, True), (slab, True), (doubled, False)):
+            assert ref.is_fano(poly)[0] is flag
+            assert is_fano(poly) == ref.is_fano(poly)

@@ -4,9 +4,8 @@ Matrices are row-major lists of rows whose entries are Python ``int`` or
 ``fractions.Fraction``, so everything here is exact and overflow-free.
 Lattices are represented by basis rows; the canonical representative of a
 row lattice is its row Hermite normal form.  Square solves, determinants,
-ranks, inverses and span coefficients share one fraction-free (Bareiss)
-elimination kernel; only ``solve_affine`` keeps a Fraction Gauss-Jordan for
-the pivot-supported particular solution of an underdetermined system.
+ranks, inverses, span coefficients and affine solutions share one
+fraction-free (Bareiss) elimination kernel.
 """
 
 from __future__ import annotations
@@ -202,7 +201,7 @@ def _integral(row) -> tuple[list[int], int]:
     return list(row), 1
 
 
-def _bareiss(rows: list[list[int]], width: int) -> tuple[list[int], list[int], int]:
+def _bareiss(rows: list[list[int]], width: int) -> tuple[list[int], int]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
     Bareiss's method (Math. Comp. 1968): each step multiplies by the new
@@ -213,11 +212,10 @@ def _bareiss(rows: list[list[int]], width: int) -> tuple[list[int], list[int], i
     sides) ride along.  Afterwards row r holds the r-th pivot, in column
     ``columns[r]``, every pivot row carries the last pivot ``d`` in its
     pivot column, and the pivot columns are zero elsewhere.  Returns
-    ``(columns, order, sign)``: ``order[r]`` is the input index of row r,
-    and ``d == sign * det`` for a nonsingular square input.
+    ``(columns, sign)`` with ``d == sign * det`` for a nonsingular square
+    input.
     """
     m = len(rows)
-    order = list(range(m))
     columns: list[int] = []
     sign = previous = 1
     for c in range(width):
@@ -229,7 +227,6 @@ def _bareiss(rows: list[list[int]], width: int) -> tuple[list[int], list[int], i
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
-            order[r], order[p] = order[p], order[r]
             sign = -sign
         if rows[r][c] < 0:
             # negating the pivot row keeps every division exact, and equal
@@ -251,7 +248,7 @@ def _bareiss(rows: list[list[int]], width: int) -> tuple[list[int], list[int], i
         if len(columns) == m:
             break
         previous = pivot
-    return columns, order, sign
+    return columns, sign
 
 
 def _solve(rows: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
@@ -268,17 +265,8 @@ def _solve(rows: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
 
 def rational_rank(matrix: Matrix) -> int:
     """Rank over the rationals."""
-    return len(independent_rows(matrix))
-
-
-def independent_rows(matrix: Matrix) -> list[int]:
-    """Ascending indices of a maximal linearly independent set of rows.
-
-    They are the pivot rows of the elimination.
-    """
     rows = [_integral(row)[0] for row in matrix]
-    columns, order, _ = _bareiss(rows, len(rows[0]) if rows else 0)
-    return sorted(order[: len(columns)])
+    return len(_bareiss(rows, len(rows[0]) if rows else 0)[0])
 
 
 def solve_square(rows: Matrix, rhs: Sequence) -> list[Fraction] | None:
@@ -299,7 +287,7 @@ def det(rows: Matrix) -> Fraction:
         return Fraction(1)
     scaled = [_integral(row) for row in rows]
     ints = [row for row, _ in scaled]
-    columns, _, sign = _bareiss(ints, n)
+    columns, sign = _bareiss(ints, n)
     if len(columns) < n:
         return Fraction(0)
     return Fraction(sign * ints[-1][-1], math.prod(scale for _, scale in scaled))
@@ -331,39 +319,25 @@ def solve_affine(rows: Matrix, rhs: Sequence):
 
     Returns ``(particular, null_basis)`` where ``particular`` is supported
     on the pivot columns of the reduced system (deterministic), or ``None``
-    when the system is inconsistent.
+    when the system is inconsistent.  The reduced row echelon form is
+    unique, so both are read off the eliminated pivot rows over ``d``.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(c)] for row, c in zip(rows, rhs)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, m) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        p = aug[rank][col]
-        aug[rank] = [x / p for x in aug[rank]]
-        for i in range(m):
-            if i != rank and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, m):
-        if aug[i][n]:
-            return None
+    n = len(rows[0]) if rows else 0
+    aug = [_integral([*row, c])[0] for row, c in zip(rows, rhs)]
+    pivots = _bareiss(aug, n)[0]
+    rank = len(pivots)
+    if any(row[n] for row in aug[rank:]):
+        return None
+    den = aug[rank - 1][pivots[-1]] if rank else 1
     particular = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        particular[col] = aug[r][n]
-    free = [j for j in range(n) if j not in pivots]
+    for row, col in zip(aug, pivots):
+        particular[col] = Fraction(row[n], den)
     null_basis = []
-    for f in free:
+    for f in sorted(set(range(n)) - set(pivots)):
         vec = [Fraction(0)] * n
         vec[f] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -aug[r][f]
+        for row, col in zip(aug, pivots):
+            vec[col] = Fraction(-row[f], den)
         null_basis.append(vec)
     return particular, null_basis
 

@@ -472,10 +472,9 @@ def is_fano(poly: HPolytope, relations: Sequence[Sequence[int]] | None = None):
     The image of ``A^T`` is the kernel of the relation rows ``Gamma``
     (``relations``, computed when not given), so C is read off
     ``Gamma b = C * Gamma 1``; when ``Gamma 1 = 0`` every C works and 1 is
-    reported.  When the normals span R^k, y solves the k x k system of the
-    normals off the pivot columns of ``Gamma``, which are independent.
-    Otherwise y is not unique, and the solution supported on the pivot
-    columns of the normals' elimination is reported.
+    reported.  y is unique when the normals span R^k; otherwise the
+    solution supported on the pivot columns of their elimination is
+    reported.
     """
     for a in poly.normals:
         if math.gcd(*(abs(x) for x in a)) != 1:
@@ -489,15 +488,7 @@ def is_fano(poly: HPolytope, relations: Sequence[Sequence[int]] | None = None):
     if constant <= 0 or any(v != constant * x for v, x in zip(values, ones)):
         return False, None, None
     target = [b - constant for b in poly.offsets]
-    if len(relations) != poly.n - poly.dim:
-        translation, _ = linalg.solve_affine([list(a) for a in poly.normals], target)
-    else:
-        columns = [[row[j] for row in relations] for j in range(poly.n)]
-        basis = set(linalg.independent_rows(columns))
-        tight = [i for i in range(poly.n) if i not in basis]
-        translation = linalg.solve_square(
-            [poly.normals[i] for i in tight], [target[i] for i in tight]
-        )
+    translation = linalg.solve_affine([list(a) for a in poly.normals], target)[0]
     return True, constant, tuple(translation)
 
 

@@ -384,12 +384,32 @@ class TestKernelAgainstReference:
             )
         )
     )
-    def test_rank_and_independent_rows(self, matrix):
-        rank = linalg.rational_rank(matrix)
-        assert rank == ref.rank(matrix)
-        chosen = linalg.independent_rows(matrix)
-        assert chosen == sorted(set(chosen)) and len(chosen) == rank
-        assert ref.rank([matrix[i] for i in chosen]) == rank
+    def test_rank(self, matrix):
+        assert linalg.rational_rank(matrix) == ref.rank(matrix)
+
+    @KERNEL_SETTINGS
+    @given(
+        st.tuples(ENTRIES, st.integers(0, 5), st.integers(0, 5)).flatmap(
+            lambda t: st.tuples(
+                st.lists(
+                    st.lists(t[0], min_size=t[2], max_size=t[2]), min_size=t[1], max_size=t[1]
+                ),
+                st.lists(t[0], min_size=t[2], max_size=t[2]),
+                st.lists(t[0], min_size=t[1], max_size=t[1]),
+                st.booleans(),
+            )
+        )
+    )
+    def test_solve_affine(self, case):
+        rows, point, other, consistent = case
+        # a right-hand side in the image half the time, an arbitrary one otherwise
+        rhs = [sum(x * y for x, y in zip(row, point)) for row in rows] if consistent else other
+        solution = linalg.solve_affine(rows, rhs)
+        assert solution == ref.solve_affine(rows, rhs)
+        if solution is not None:
+            particular, null_basis = solution
+            assert all(type(x) is Fraction for x in particular)
+            assert all(type(x) is Fraction for vec in null_basis for x in vec)
 
     @KERNEL_SETTINGS
     @given(
@@ -403,7 +423,10 @@ class TestKernelAgainstReference:
     )
     def test_solve_in_span(self, case):
         matrix, others, mix = case
-        basis = [matrix[i] for i in linalg.independent_rows(matrix)]
+        basis = []
+        for row in matrix:
+            if ref.rank([*basis, row]) > len(basis):
+                basis.append(row)
         # targets inside the span, and arbitrary ones
         inside = [
             [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(len(matrix[0]))]

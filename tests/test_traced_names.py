@@ -8,20 +8,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import pytest
-
-from delzant import linalg, polytopes
-
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-
-
-@pytest.mark.parametrize(
-    "module, name",
-    [(linalg, n) for n in ("solve_square", "det", "rational_rank", "hnf", "solve_affine")]
-    + [(polytopes, "is_fano")],
-)
-def test_kernel_wrappers_stay_public(module, name):
-    assert callable(getattr(module, name, None))
 
 
 def test_every_traced_name_resolves():

@@ -22,7 +22,6 @@ from .polytopes import (
     enumerate_vertices,
     is_delzant,
     is_fano,
-    is_generic,
     is_simple,
     parse_polytope,
     redundancy,
@@ -63,7 +62,6 @@ __all__ = [
     "gen_redundant_simplex",
     "is_delzant",
     "is_fano",
-    "is_generic",
     "is_simple",
     "loop_lattice",
     "maslov_area_report",

@@ -17,12 +17,7 @@ from fractions import Fraction
 
 from . import invariants as inv
 from . import oracle as orc
-from .families import (
-    TopologyTag,
-    match_product_simplices,
-    match_redundant_simplex,
-    recognize_topology,
-)
+from .families import TopologyTag, family_spec, recognize_topology
 from .polytopes import (
     DEFAULT_SUBSET_BUDGET,
     HPolytope,
@@ -69,25 +64,17 @@ class AnalysisReport:
     discrepancies: tuple[Discrepancy, ...] = field(default_factory=tuple)
 
 
-def family_hint(system: QuadricSystem) -> str | None:
-    params = match_product_simplices(system)
-    if params:
-        p, n, k = params
-        return f"product-simplices:p={p},n={n},k={k}"
-    params = match_redundant_simplex(system)
-    if params:
-        n, k = params
-        return f"redundant-simplex:n={n},k={k}"
-    return None
-
-
 def published_discrepancies(
-    system: QuadricSystem,
+    family: str | None,
     report: inv.InvariantReport,
     measured: dict[tuple[int, ...], float] | None = None,
 ) -> tuple[Discrepancy, ...]:
-    """Mismatches against the published family values (area = maslov/2)."""
-    if match_product_simplices(system) is None and match_redundant_simplex(system) is None:
+    """Mismatches against the published values (area = maslov/2) of a catalog family.
+
+    ``family`` is the system's ``family_spec``; outside the catalog there is
+    nothing published to compare with.
+    """
+    if family is None:
         return ()
     records = []
     for coords, mu, area in zip(
@@ -137,42 +124,18 @@ def analyze_polytope(
     if topology is None and structure.redundant:
         assumptions.append(CONNECTED_CORE_ASSUMPTION)
 
+    family = family_spec(system)
     checks: tuple[dict, ...] = ()
     measured: dict[tuple[int, ...], float] | None = None
     if with_oracle:
-        hint = family_hint(system)
-        point = orc.sample_point(system, family=hint, seed=seed)
-        records = [
-            orc.check_record(
-                "point-residual",
-                0.0,
-                float(max(abs(r) for r in point.residuals)),
-                orc.DEFAULT_CONFIG.residual_tol,
-            )
+        oracle_loops = [
+            orc.TorusLoop(coords, doubled=True, samples=samples) for coords in loops.basis
         ]
-        measured = {}
-        for coords in loops.basis:
-            loop = orc.TorusLoop(coords, doubled=True, samples=samples)
-            label = "(" + ",".join(str(c) for c in coords) + ")"
-            area = orc.loop_area(system, loop, point)
-            records.append(
-                orc.check_record(
-                    f"area{label}",
-                    orc.closed_form_area(system, loop),
-                    area,
-                    orc.DEFAULT_CONFIG.area_rtol,
-                )
-            )
-            winding = orc.loop_maslov(system, loop, point)
-            records.append(
-                orc.check_record(
-                    f"maslov{label}", orc.expected_maslov(system, loop), winding, 0
-                )
-            )
-            # the doubled realization of a class measures twice its area
-            measured[coords] = area / (2 * math.pi)
-        checks = tuple(records)
-    discrepancies = published_discrepancies(system, report, measured)
+        checks = tuple(orc.oracle_checks(system, oracle_loops, family=family, seed=seed))
+        areas = [r["actual"] for r in checks if r["check"].startswith("area")]
+        # the doubled realization of a class measures twice its area
+        measured = {c: a / (2 * math.pi) for c, a in zip(loops.basis, areas)}
+    discrepancies = published_discrepancies(family, report, measured)
     return AnalysisReport(
         polytope=poly,
         structure=structure,

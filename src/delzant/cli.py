@@ -11,16 +11,19 @@ import argparse
 import json
 import sys
 
-from .analysis import analysis_to_json, analyze_polytope, family_hint
-from .families import parse_family_spec, parse_profile_spec
-from .invariants import InvariantError
+from .analysis import analysis_to_json, analyze_polytope
+from .families import family_spec, parse_family_spec, parse_profile_spec
+from .invariants import InvariantError, deck_data, loop_lattice
 from .oracle import OracleError, TorusLoop, oracle_checks
 from .polytopes import (
     DEFAULT_SUBSET_BUDGET,
     PolytopeError,
     PolytopeFormatError,
+    enumerate_vertices,
+    parse_integer,
     parse_polytope,
     polytope_to_json,
+    redundancy,
 )
 from .quadrics import (
     QuadricError,
@@ -132,21 +135,16 @@ def cmd_oracle(args) -> int:
     poly = _load_polytope(args)
     system = polytope_to_quadrics(poly)
     if args.loop:
-        coords = tuple(int(x) for x in args.loop.split(","))
+        coords = tuple(parse_integer(x, "loop coordinate") for x in args.loop.split(","))
         loops = [TorusLoop(coords, doubled=True, samples=args.samples)]
     else:
-        from .invariants import deck_data, loop_lattice
-        from .polytopes import redundancy
-
-        deck = deck_data(system)
-        strict = sorted(i for i, s in redundancy(poly).items() if s)
+        vertex_set = enumerate_vertices(poly, relations=system.gamma)
+        strict = sorted(i for i, s in redundancy(poly, vertex_set=vertex_set).items() if s)
         loops = [
             TorusLoop(v, doubled=True, samples=args.samples)
-            for v in loop_lattice(deck, system, strict).basis
+            for v in loop_lattice(deck_data(system), system, strict).basis
         ]
-    records = oracle_checks(
-        system, loops, family=family_hint(system), seed=args.seed
-    )
+    records = oracle_checks(system, loops, family=family_spec(system), seed=args.seed)
     _emit(records)
     return 0 if all(r["pass"] for r in records) else 1
 

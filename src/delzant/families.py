@@ -7,7 +7,9 @@ in R^(n-2)).  The realization enumerators sweep the twist parameter and
 compare the resulting minimal Maslov numbers with the predicted divisor
 sets.  Topology recognition matches a quadric system against a fixed
 catalog (sphere, product of two spheres, and their redundant doublings)
-and reports Unknown otherwise.
+and reports Unknown otherwise.  The spec grammar ``name:key=value,...`` is
+parsed here only; ``family_spec`` names a catalog system by the spec that
+``parse_family_spec`` reads back.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from . import linalg
 from .invariants import DeckData, deck_data
-from .polytopes import HPolytope, PolytopeFormatError
+from .polytopes import HPolytope, PolytopeFormatError, parse_integer
 from .quadrics import QuadricSystem
 from .spectral import HomologyProfile
 
@@ -302,41 +304,6 @@ def _tag(sphere_dims, torus_rank, orientable, components):
     )
 
 
-def match_product_simplices(system: QuadricSystem) -> tuple[int, int, int] | None:
-    """Recover (p, n, k) when the system is the canonical twisted-product one."""
-    if system.m != 2 or system.n < 4:
-        return None
-    row1, row2 = system.gamma
-    n = system.n
-    p = sum(row1)
-    if list(row1) != [1] * p + [0] * (n - p):
-        return None
-    k = next((j for j in range(p + 1) if j == p or row2[j] != 1), 0)
-    if list(row2) != [1] * k + [0] * (p - k) + [1] * (n - p):
-        return None
-    if system.delta != (Fraction(p), Fraction(n - p + k)):
-        return None
-    return p, n, k
-
-
-def match_redundant_simplex(system: QuadricSystem) -> tuple[int, int] | None:
-    """Recover (n, k) when the system is the canonical redundant-simplex one."""
-    if system.m != 2 or system.n < 4:
-        return None
-    row1, row2 = system.gamma
-    n = system.n
-    if list(row1) != [1] * (n - 1) + [0] or row2[-1] != 1:
-        return None
-    k = sum(row2[:-1])
-    if list(row2[:-1]) != [1] * k + [0] * (n - 1 - k):
-        return None
-    if n % 2 == 0 or k % 2 or not (n - 3 < 2 * k <= 2 * n - 4):
-        return None
-    if system.delta != (Fraction(n - 1), Fraction(2 * k + 2)):
-        return None
-    return n, k
-
-
 def sphere_product_profile(p: int, q: int, l_dim: int | None = None) -> HomologyProfile:
     """Z2 homology of S^(p-1) x S^(q-1); default dim L = p + q (two torus factors)."""
     dims = {0: 1, p + q - 2: 1}
@@ -360,45 +327,88 @@ def connected_sum_profile(p: int) -> HomologyProfile:
     return HomologyProfile.from_dims(dims, 5 * p, True)
 
 
+_FAMILY_PARAMETERS = {"product-simplices": ("p", "n", "k"), "redundant-simplex": ("n", "k")}
+_PROFILE_PARAMETERS = {
+    "sphere-product": ("p", "q"),
+    "sphere-power": ("p", "m", "l"),
+    "connected-sum-5": ("p",),
+}
+
+
+def _parse_spec(spec: str, catalog: dict[str, tuple[str, ...]], what: str):
+    """Split ``name:key=value,...`` into the name and its integer parameters.
+
+    The name must be in ``catalog`` and each key one it lists, at most once.
+    """
+    name, _, args = spec.partition(":")
+    if name not in catalog:
+        raise PolytopeFormatError(f"unknown {what} {name!r}")
+    params: dict[str, int] = {}
+    for item in args.split(",") if args else ():
+        key, _, value = item.partition("=")
+        key = key.strip()
+        if key not in catalog[name]:
+            raise PolytopeFormatError(f"{what} {name!r} takes no parameter {key!r}")
+        if key in params:
+            raise PolytopeFormatError(f"{what} parameter {key!r} is given twice")
+        params[key] = parse_integer(value, f"{what} parameter {key!r}")
+    return name, params
+
+
 def parse_family_spec(spec: str) -> HPolytope:
     """CLI family strings: 'product-simplices:p=4,n=10,k=2' or 'redundant-simplex:n=13,k=8'."""
-    name, _, args = spec.partition(":")
-    params = {}
-    if args:
-        for item in args.split(","):
-            key, _, value = item.partition("=")
-            try:
-                params[key.strip()] = int(value)
-            except ValueError:
-                raise PolytopeFormatError(f"bad family parameter {item!r}") from None
+    name, params = _parse_spec(spec, _FAMILY_PARAMETERS, "family")
     try:
         if name == "product-simplices":
             return gen_product_simplices(params["p"], params["n"], params["k"])
-        if name == "redundant-simplex":
-            return gen_redundant_simplex(params["n"], params["k"])
+        return gen_redundant_simplex(params["n"], params["k"])
     except KeyError as exc:
         raise PolytopeFormatError(f"family {name!r} is missing parameter {exc}") from None
-    raise PolytopeFormatError(f"unknown family {name!r}")
+
+
+def family_spec(system: QuadricSystem) -> str | None:
+    """The spec that ``parse_family_spec`` reads back into a presentation of ``system``.
+
+    Recognizes the canonical quadric systems of both catalog families within
+    their generators' parameter ranges; None for any other system.
+    """
+    if system.m != 2:
+        return None
+    (row1, row2), n = system.gamma, system.n
+    # Gamma = [1^p 0^(n-p); 1^k 0^(p-k) 1^(n-p)], delta = (p, n-p+k)
+    p = sum(row1)
+    k = sum(row2) - (n - p)
+    if (
+        k % 2 == 0
+        and 0 <= k <= p - 2
+        and n - p >= 2
+        and list(row1) == [1] * p + [0] * (n - p)
+        and list(row2) == [1] * k + [0] * (p - k) + [1] * (n - p)
+        and system.delta == (p, n - p + k)
+    ):
+        return f"product-simplices:p={p},n={n},k={k}"
+    # Gamma = [1^(n-1) 0; 1^k 0^(n-1-k) 1], delta = (n-1, 2k+2)
+    k = sum(row2) - 1
+    if (
+        n % 2
+        and k % 2 == 0
+        and n - 3 < 2 * k <= 2 * n - 4
+        and list(row1) == [1] * (n - 1) + [0]
+        and list(row2) == [1] * k + [0] * (n - 1 - k) + [1]
+        and system.delta == (n - 1, 2 * k + 2)
+    ):
+        return f"redundant-simplex:n={n},k={k}"
+    return None
 
 
 def parse_profile_spec(spec: str, l_dim: int | None = None) -> HomologyProfile:
     """CLI profile strings: 'sphere-product:p=4,q=6', 'sphere-power:p=4,m=3', 'connected-sum-5:p=4'."""
-    name, _, args = spec.partition(":")
-    params = {}
-    if args:
-        for item in args.split(","):
-            key, _, value = item.partition("=")
-            try:
-                params[key.strip()] = int(value)
-            except ValueError:
-                raise PolytopeFormatError(f"bad profile parameter {item!r}") from None
+    name, params = _parse_spec(spec, _PROFILE_PARAMETERS, "profile family")
     try:
         if name == "sphere-product":
             return sphere_product_profile(params["p"], params["q"], l_dim)
         if name == "sphere-power":
             return sphere_power_profile(params["p"], params["m"], params.get("l"))
-        if name == "connected-sum-5":
-            return connected_sum_profile(params["p"])
+        return connected_sum_profile(params["p"])
     except KeyError as exc:
         raise PolytopeFormatError(f"profile {name!r} is missing parameter {exc}") from None
-    raise PolytopeFormatError(f"unknown profile family {name!r}")

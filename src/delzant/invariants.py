@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .polytopes import HPolytope, format_rational, structure_report
+from .polytopes import StructureReport, format_rational
 from .quadrics import QuadricSystem
 
 ODD_CLASS_ASSUMPTION = (
@@ -219,13 +219,14 @@ def maslov_area_report(
     )
 
 
-def fano_monotone_crosscheck(poly: HPolytope, report: InvariantReport) -> bool | None:
-    """Whether the Fano verdict matches the monotone verdict.
+def fano_monotone_crosscheck(
+    structure: StructureReport, report: InvariantReport
+) -> bool | None:
+    """Whether the Fano verdict of ``structure`` matches the monotone verdict.
 
     Only applicable to bounded, Delzant, irredundant presentations; returns
     None ("not applicable") otherwise.
     """
-    structure = structure_report(poly)
     applicable = (
         structure.bounded
         and not structure.empty

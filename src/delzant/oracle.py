@@ -11,13 +11,15 @@ coordinate it flips vanishes at the base point.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .invariants import DeckData, deck_data
+from .families import FamilyRangeWarning, parse_family_spec
+from .invariants import _actual_vector, deck_data
 from .quadrics import QuadricSystem, quadrics_to_polytope
 from .polytopes import enumerate_vertices
 
@@ -80,21 +82,16 @@ def _newton_polish(system: QuadricSystem, u: np.ndarray, config: OracleConfig) -
     return u
 
 
-def _family_point(system: QuadricSystem, family: str) -> np.ndarray | None:
-    name, _, args = family.partition(":")
-    params = {}
-    for item in args.split(","):
-        key, _, value = item.partition("=")
-        if value:
-            params[key.strip()] = int(value)
-    if name == "product-simplices":
-        return np.ones(system.n)
-    if name == "redundant-simplex" and "k" in params:
-        # unit coordinates on the simplex block, sqrt(k+2) on the slack
-        u = np.ones(system.n)
-        u[-1] = math.sqrt(params["k"] + 2)
-        return u
-    return None
+def _family_point(system: QuadricSystem, family: str) -> np.ndarray:
+    """The square roots of the family presentation's slacks at the origin."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FamilyRangeWarning)
+        poly = parse_family_spec(family)
+    if poly.n != system.n:
+        raise OracleError(
+            f"family hint {family!r} has {poly.n} inequalities, the system {system.n}"
+        )
+    return np.sqrt(np.array([float(b) for b in poly.offsets]))
 
 
 def sample_point(
@@ -105,12 +102,13 @@ def sample_point(
 ) -> RPoint:
     """A point of the variety, deterministic for a fixed seed.
 
-    With a family hint the known exact point is used; otherwise the slack
-    vector of a seeded convex combination of polytope vertices supplies
-    exact squares, and Newton refinement removes the square-root rounding.
+    With a family spec (as ``families.family_spec`` names it) the square
+    roots of that presentation's slacks at the origin are the exact point;
+    otherwise the slack vector of a seeded convex combination of polytope
+    vertices supplies exact squares, and Newton refinement removes the
+    square-root rounding.
     """
-    u = _family_point(system, family) if family else None
-    if u is None:
+    if not family:
         poly = quadrics_to_polytope(system)
         vertex_set = enumerate_vertices(poly)
         if not vertex_set.vertices:
@@ -140,25 +138,19 @@ def sample_point(
                 f"Newton refinement stalled at residual {np.max(np.abs(r)):.2e}"
             )
         raise last_error
-    u = _newton_polish(system, u, config)
+    u = _newton_polish(system, _family_point(system, family), config)
     r = residuals(system, u)
     if np.max(np.abs(r)) > config.residual_tol:
         raise OracleError(f"residual {np.max(np.abs(r)):.2e} above tolerance")
     return RPoint(u, r)
 
 
-def _loop_data(system: QuadricSystem, loop: TorusLoop, deck: DeckData | None = None):
+def _loop_data(system: QuadricSystem, loop: TorusLoop):
     """Integer pairings n_j = <gamma_j, w> of the realized dual vector."""
-    deck = deck or deck_data(system)
+    deck = deck_data(system)
     if len(loop.coeffs) != deck.rank:
         raise OracleError("loop coefficients do not match the torus rank")
-    w = [
-        sum(
-            (Fraction(c) * eps[r] for c, eps in zip(loop.coeffs, deck.dual_basis)),
-            Fraction(0),
-        )
-        for r in range(deck.rank)
-    ]
+    w = _actual_vector(deck, loop.coeffs)
     pairings = []
     for j in range(system.n):
         value = Fraction(linalg.dot(w, system.column(j)))
@@ -309,15 +301,15 @@ def oracle_checks(
         )
     ]
     for loop in loops:
-        label = "+".join(str(c) for c in loop.coeffs)
+        label = "(" + ",".join(str(c) for c in loop.coeffs) + ")"
         area = loop_area(system, loop, point, config)
         records.append(
             check_record(
-                f"area[{label}]", closed_form_area(system, loop), area, config.area_rtol
+                f"area{label}", closed_form_area(system, loop), area, config.area_rtol
             )
         )
         winding = loop_maslov(system, loop, point, config)
         records.append(
-            check_record(f"maslov[{label}]", expected_maslov(system, loop), winding, 0)
+            check_record(f"maslov{label}", expected_maslov(system, loop), winding, 0)
         )
     return records

@@ -126,29 +126,40 @@ class StructureReport:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
+def _plain(text: str) -> str:
+    """``text`` unless it has an underscore or a non-ASCII character.
+
+    ``int`` and ``Fraction`` read ``"1_0"`` as 10 and Arabic-Indic digits
+    as decimal digits.
+    """
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return text
+
+
 def parse_integer(value, what: str = "integer") -> int:
-    """An int, or a decimal string of one; floats and bools are rejected."""
+    """An int, or an ASCII decimal string of one; floats and bools are rejected."""
     if isinstance(value, bool):
         raise PolytopeFormatError(f"{what} must be an integer")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         try:
-            return int(value)
+            return int(_plain(value))
         except ValueError:
             raise PolytopeFormatError(f"{what} is not a decimal integer: {value!r}") from None
     raise PolytopeFormatError(f"{what} must be an integer or decimal string")
 
 
 def parse_rational(value, what: str = "rational") -> Fraction:
-    """An int, or a decimal or ``p/q`` string; floats and bools are rejected."""
+    """An int, or an ASCII decimal or ``p/q`` string; floats and bools are rejected."""
     if isinstance(value, bool):
         raise PolytopeFormatError(f"{what} must be rational")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return Fraction(_plain(value))
         except (ValueError, ZeroDivisionError):
             raise PolytopeFormatError(f"{what} is not a valid p/q rational: {value!r}") from None
     raise PolytopeFormatError(f"{what} must be an integer or a p/q string")
@@ -418,15 +429,6 @@ def _gale_minor(poly: HPolytope, relations, active: Sequence[int]) -> Fraction:
     return abs(linalg.det([[row[j] for j in complement] for row in relations]))
 
 
-def is_generic(poly: HPolytope, vertex_set: VertexSet) -> bool:
-    """The normals tight at each vertex are linearly independent.
-
-    The active normals of a vertex span R^k, so they are independent exactly
-    when there are k of them: on an enumerated vertex set, generic is simple.
-    """
-    return is_simple(vertex_set, poly.dim)
-
-
 def normal_lattice_basis(poly: HPolytope) -> list[list[int]]:
     basis = linalg.row_basis([list(a) for a in poly.normals])
     if len(basis) < poly.dim:
@@ -439,12 +441,12 @@ def normal_lattice_basis(poly: HPolytope) -> list[list[int]]:
 def is_delzant(poly: HPolytope, vertex_set: VertexSet) -> bool:
     """At every vertex the active normals are a basis of the normal lattice.
 
-    Requires the simple and generic conditions.  The index of the active
-    sublattice is ``|det Gamma_B|`` on the inactive set B when m < k, and
+    Requires a simple presentation.  The index of the active sublattice is
+    ``|det Gamma_B|`` on the inactive set B when m < k, and
     ``|det(active normals)| / |det(lattice basis)|`` otherwise.
     """
-    if not is_generic(poly, vertex_set):
-        raise PolytopeError("Delzant test requires a simple and generic presentation")
+    if not is_simple(vertex_set, poly.dim):
+        raise PolytopeError("Delzant test requires a simple presentation")
     if vertex_set.pointed and len(vertex_set.relations) < poly.dim:
         return all(
             _gale_minor(poly, vertex_set.relations, v.active) == 1
@@ -599,9 +601,10 @@ def structure_report(
         notes.append("normals are rank-deficient: no vertices, unbounded if nonempty")
     simple = generic = delzant = None
     if vertex_set.vertices:
-        simple = is_simple(vertex_set, poly.dim)
-        generic = is_generic(poly, vertex_set)
-        if simple and generic:
+        # the active normals of a vertex span R^k, so they are independent
+        # (generic) exactly when there are k of them (simple)
+        simple = generic = is_simple(vertex_set, poly.dim)
+        if simple:
             try:
                 delzant = is_delzant(poly, vertex_set)
             except LatticeRankError as exc:

@@ -26,7 +26,7 @@ from .polytopes import (
     PolytopeFormatError,
     enumerate_vertices,
     format_rational,
-    is_generic,
+    is_simple,
     parse_integer,
     parse_rational,
 )
@@ -155,12 +155,10 @@ def nondegeneracy(system: QuadricSystem, poly: HPolytope) -> bool:
     Equivalent to the presentation being generic and feasible; ``poly``
     must be the polytope corresponding to ``system``.
     """
-    vertex_set = enumerate_vertices(poly)
-    if vertex_set.empty:
+    vertex_set = enumerate_vertices(poly, relations=system.gamma)
+    if vertex_set.empty or not vertex_set.pointed:
         return False
-    if not vertex_set.pointed:
-        return False
-    return is_generic(poly, vertex_set)
+    return is_simple(vertex_set, poly.dim)
 
 
 def augmented_canonical(system: QuadricSystem) -> list[list[Fraction]]:

@@ -23,6 +23,7 @@ from .families import (
     even_divisors,
     gen_product_simplices,
     gen_redundant_simplex,
+    parse_family_spec,
     product_simplices_realized_divisors,
     recognize_topology,
     redundant_simplex_predicted_divisors,
@@ -30,16 +31,8 @@ from .families import (
     sphere_power_profile,
     sphere_product_profile,
 )
-from .invariants import deck_data, loop_lattice, maslov_area_report
-from .oracle import (
-    TorusLoop,
-    closed_form_area,
-    expected_maslov,
-    loop_area,
-    loop_maslov,
-    sample_point,
-)
-from .polytopes import enumerate_vertices, is_simple, redundancy
+from .oracle import TorusLoop, oracle_checks
+from .polytopes import enumerate_vertices, is_simple
 from .quadrics import polytope_to_quadrics
 from .spectral import (
     HomologyProfile,
@@ -174,6 +167,7 @@ def redundant_pipeline_instances(n_max: int = 33):
 def check_redundant_pipeline(n_max: int = 33) -> SuiteRow:
     failures = []
     instances = redundant_pipeline_instances(n_max)
+    minimal_maslov = {}
     for n, k in instances:
         poly = gen_redundant_simplex(n, k)
         report = analyze_polytope(poly)
@@ -187,16 +181,13 @@ def check_redundant_pipeline(n_max: int = 33) -> SuiteRow:
             failures.append(
                 f"{label}: Maslov values {report.invariants.maslov_values}"
             )
-        if report.invariants.minimal_maslov != math.gcd(n - 1, 2 * k + 2):
-            failures.append(f"{label}: N_L {report.invariants.minimal_maslov}")
+        minimal_maslov[n, k] = report.invariants.minimal_maslov
+        if minimal_maslov[n, k] != math.gcd(n - 1, 2 * k + 2):
+            failures.append(f"{label}: N_L {minimal_maslov[n, k]}")
     for n, k, expected in [(13, 8, 6), (31, 24, 10), (31, 20, 6)]:
-        poly = gen_redundant_simplex(n, k)
-        q = polytope_to_quadrics(poly)
-        deck = deck_data(q)
-        strict = sorted(i for i, s in redundancy(poly).items() if s)
-        report = maslov_area_report(deck, q, loop_lattice(deck, q, strict))
-        if report.minimal_maslov != expected:
-            failures.append(f"spot (n,k)=({n},{k}): N_L {report.minimal_maslov} != {expected}")
+        found = minimal_maslov.get((n, k))
+        if found != expected:
+            failures.append(f"spot (n,k)=({n},{k}): N_L {found} != {expected}")
     return _row(
         "pipeline-redundant",
         "redundant simplex family: slack, loop lattice, Maslov values",
@@ -321,11 +312,11 @@ def check_connected_sum_restriction() -> SuiteRow:
 
 
 ORACLE_CATALOG = (
-    ("product-simplices", (4, 10, 0)),
-    ("product-simplices", (4, 10, 2)),
-    ("product-simplices", (6, 16, 4)),
-    ("redundant-simplex", (5, 2)),
-    ("redundant-simplex", (13, 8)),
+    "product-simplices:p=4,n=10,k=0",
+    "product-simplices:p=4,n=10,k=2",
+    "product-simplices:p=6,n=16,k=4",
+    "redundant-simplex:n=5,k=2",
+    "redundant-simplex:n=13,k=8",
 )
 
 
@@ -336,36 +327,20 @@ def check_oracle_agreement(seed: int = DEFAULT_ORACLE_SEED, random_loops: int = 
     checks = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FamilyRangeWarning)
-        for name, params in ORACLE_CATALOG:
-            if name == "product-simplices":
-                p, n, k = params
-                poly = gen_product_simplices(p, n, k)
-                hint = f"product-simplices:p={p},n={n},k={k}"
-                label = f"{name}({p},{n},{k})"
-            else:
-                n, k = params
-                poly = gen_redundant_simplex(n, k)
-                hint = f"redundant-simplex:n={n},k={k}"
-                label = f"{name}({n},{k})"
-            system = polytope_to_quadrics(poly)
-            point = sample_point(system, family=hint, seed=seed)
+        for spec in ORACLE_CATALOG:
+            system = polytope_to_quadrics(parse_family_spec(spec))
             classes = [(1, 0), (0, 1)]
             while len(classes) < 2 + random_loops:
                 candidate = tuple(int(c) for c in rng.integers(-3, 4, size=system.m))
                 if any(candidate):
                     classes.append(candidate)
-            for coords in classes:
-                loop = TorusLoop(tuple(coords), doubled=True)
-                area = loop_area(system, loop, point)
-                target = closed_form_area(system, loop)
-                if abs(area - target) > 1e-8 * (1 + abs(target)):
-                    failures.append(f"{label} area{coords}: {area} vs {target}")
-                winding = loop_maslov(system, loop, point)
-                if winding != expected_maslov(system, loop):
+            loops = [TorusLoop(coords, doubled=True) for coords in classes]
+            for record in oracle_checks(system, loops, family=spec, seed=seed):
+                if not record["pass"]:
                     failures.append(
-                        f"{label} maslov{coords}: {winding} vs {expected_maslov(system, loop)}"
+                        f"{spec} {record['check']}: {record['actual']} vs {record['expected']}"
                     )
-                checks += 1
+            checks += len(loops)
     elapsed = time.monotonic() - start
     if elapsed >= 10.0:
         failures.append(f"runtime {elapsed:.1f}s exceeded the 10s budget")
@@ -373,7 +348,8 @@ def check_oracle_agreement(seed: int = DEFAULT_ORACLE_SEED, random_loops: int = 
         "oracle-agreement",
         "numerical areas and windings match the exact pairings",
         failures,
-        f"{checks} doubled loops across 5 catalog systems within the 10s budget",
+        f"{checks} doubled loops across {len(ORACLE_CATALOG)} catalog systems "
+        "within the 10s budget",
     )
 
 

@@ -76,6 +76,21 @@ class TestAnalyze:
         assert first == second
 
 
+class TestFamily:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "product-simplices:p=4,n=10,k=2,k=0",
+            "product-simplices:p=4,n=10,k=2,q=9",
+            "product-simplices:p=4,n=1_0,k=2",
+            "redundant-simplex:n=\u0661\u0663,k=8",
+        ],
+    )
+    def test_malformed_spec_exits_1(self, capsys, spec):
+        code, out, err = run_cli(capsys, "family", spec)
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
 class TestQuadrics:
     def test_forward_and_invert(self, capsys, redundant_file, tmp_path):
         code, out, _ = run_cli(capsys, "quadrics", str(redundant_file))
@@ -132,6 +147,11 @@ class TestObstruct:
         code, out, err = run_cli(capsys, "obstruct", str(profile))
         assert code == 1 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("spec", ["sphere-product:p=4,q=6,zz=1", "sphere-product:p=4,q=6,p=8"])
+    def test_malformed_family_spec_exits_1(self, capsys, spec):
+        code, out, err = run_cli(capsys, "obstruct", "--family", spec)
+        assert code == 1 and out == "" and err.startswith("error:")
+
     def test_nmax_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "obstruct", "--family", "sphere-product:p=4,q=6", "--nmax", "1"
@@ -147,6 +167,10 @@ class TestOracleCommand:
         assert code == 0
         records = json.loads(out)
         assert all(r["pass"] for r in records)
+        # the labels analyze --oracle uses
+        assert [r["check"] for r in records] == [
+            "point-residual", "area(1,0)", "maslov(1,0)", "area(0,1)", "maslov(0,1)"
+        ]
 
     def test_explicit_loop(self, capsys, redundant_file):
         code, out, _ = run_cli(
@@ -156,6 +180,11 @@ class TestOracleCommand:
         records = json.loads(out)
         area = next(r for r in records if r["check"].startswith("area"))
         assert area["expected"] == pytest.approx(6 * 3.141592653589793)
+
+    @pytest.mark.parametrize("loop", ["0,1_0", "0,x", "0,\u0661"])
+    def test_malformed_loop_exits_1(self, capsys, redundant_file, loop):
+        code, out, err = run_cli(capsys, "oracle", str(redundant_file), "--loop", loop)
+        assert code == 1 and out == "" and err.startswith("error:")
 
 
 class TestVerify:

@@ -8,6 +8,7 @@ from delzant.families import (
     FamilyRangeWarning,
     connected_sum_profile,
     even_divisors,
+    family_spec,
     gen_product_simplices,
     gen_redundant_simplex,
     parse_family_spec,
@@ -20,8 +21,11 @@ from delzant.families import (
     sphere_product_profile,
 )
 from delzant.invariants import deck_data, loop_lattice, maslov_area_report
-from delzant.polytopes import redundancy, structure_report
+from delzant.polytopes import HPolytope, PolytopeFormatError, redundancy, structure_report
 from delzant.quadrics import QuadricSystem, polytope_to_quadrics
+from delzant.reproduce import product_pipeline_instances, redundant_pipeline_instances
+
+from .test_golden_output import random_presentation
 
 
 def pipeline_minimal_maslov(poly):
@@ -258,10 +262,76 @@ class TestSpecStrings:
         assert parse_profile_spec("connected-sum-5:p=4").as_dict()[7] == 5
 
     def test_unknown_family(self):
-        from delzant.polytopes import PolytopeFormatError
-
         with pytest.raises(PolytopeFormatError):
             parse_family_spec("moment-angle:p=1")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "product-simplices:p=4,n=10,k=2,k=0",
+            "product-simplices:p=4,n=10,k=2,q=9",
+            "product-simplices:p=4,n=1_0,k=2",
+            "product-simplices:p=4,n=\u0661\u0660,k=2",
+            "redundant-simplex:n=13,k=8,p=4",
+            "redundant-simplex:n=13,k",
+        ],
+    )
+    def test_family_spec_rejections(self, spec):
+        with pytest.raises(PolytopeFormatError):
+            parse_family_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "sphere-product:p=4,q=6,zz=1",
+            "sphere-product:p=4,q=6,q=8",
+            "sphere-power:p=4,m=3,l=1_0",
+            "connected-sum-5:p=\u0664",
+        ],
+    )
+    def test_profile_spec_rejections(self, spec):
+        with pytest.raises(PolytopeFormatError):
+            parse_profile_spec(spec)
+
+    def test_optional_profile_parameter(self):
+        assert parse_profile_spec("sphere-power:p=4,m=2,l=3").l_dim == 9
+
+
+class TestFamilySpec:
+    def test_round_trip_over_pipeline_instances(self):
+        included, degenerate = product_pipeline_instances()
+        specs = [f"product-simplices:p={p},n={n},k={k}" for p, n, k in included + degenerate]
+        specs += [f"redundant-simplex:n={n},k={k}" for n, k in redundant_pipeline_instances()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FamilyRangeWarning)
+            for spec in specs:
+                q = polytope_to_quadrics(parse_family_spec(spec))
+                assert family_spec(q) == spec
+                assert polytope_to_quadrics(parse_family_spec(family_spec(q))) == q
+
+    def test_other_quadric_counts(self):
+        simplex = HPolytope(2, ((1, 0), (0, 1), (-1, -1)), (Fraction(1),) * 3)
+        cube = HPolytope(
+            3,
+            tuple(tuple(s * int(r == i) for r in range(3)) for i in range(3) for s in (1, -1)),
+            (Fraction(1),) * 6,
+        )
+        assert polytope_to_quadrics(simplex).m == 1
+        assert polytope_to_quadrics(cube).m == 3
+        assert family_spec(polytope_to_quadrics(simplex)) is None
+        assert family_spec(polytope_to_quadrics(cube)) is None
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_golden_random_presentations(self, seed):
+        assert family_spec(polytope_to_quadrics(random_presentation(seed))) is None
+
+    def test_outside_the_generator_ranges(self):
+        # the twisted-product pattern with an odd twist k = p-1 and n-p = 1:
+        # gen_product_simplices rejects (4, 5, 3), so no spec names it
+        q = QuadricSystem(((1, 1, 1, 1, 0), (1, 1, 1, 0, 1)), (Fraction(4), Fraction(4)))
+        assert family_spec(q) is None
+        with pytest.raises(ValueError):
+            gen_product_simplices(4, 5, 3)
 
 
 class TestAnalysisAssumptions:

@@ -4,7 +4,8 @@ The sample spans the two catalog families across their parameter grid
 (including non-simple twisted products) and seeded random presentations
 on both sides of the vertex enumeration choice: boxes with cuts (m >= k)
 and simplices with cuts (m < k), with tangent cuts and rational offsets.
-Each digest is of the exact text ``delzant analyze`` prints, so any change
+Each digest is of the exact text ``delzant analyze`` (or, for three family
+instances, ``analyze --oracle --seed 0``) prints, so any change
 to a reported byte fails here.
 """
 
@@ -17,7 +18,12 @@ from fractions import Fraction
 import pytest
 
 from delzant.analysis import analysis_to_json, analyze_polytope
-from delzant.families import FamilyRangeWarning, gen_product_simplices, gen_redundant_simplex
+from delzant.families import (
+    FamilyRangeWarning,
+    gen_product_simplices,
+    gen_redundant_simplex,
+    parse_family_spec,
+)
 from delzant.polytopes import HPolytope
 
 PRODUCTS = [
@@ -77,8 +83,8 @@ def sample():
         yield f"random({seed})", random_presentation(seed)
 
 
-def digest(poly: HPolytope) -> str:
-    text = json.dumps(analysis_to_json(analyze_polytope(poly)), indent=2) + "\n"
+def digest(poly: HPolytope, **options) -> str:
+    text = json.dumps(analysis_to_json(analyze_polytope(poly, **options)), indent=2) + "\n"
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -135,3 +141,17 @@ CASES = dict(sample())
 @pytest.mark.parametrize("label", list(CASES))
 def test_analyze_digest(label):
     assert digest(CASES[label]) == GOLDEN[label]
+
+
+# ``analyze --oracle --seed 0``, computed before ``oracle.oracle_checks`` built
+# the records that ``analyze`` reports
+ORACLE_GOLDEN = {
+    "redundant-simplex:n=5,k=2": "6d6fb4e49f2eae0e796e2addbcb3ee95d7dccf538374c9c61ba6de4f852a8c63",
+    "redundant-simplex:n=13,k=8": "dad354442a03447901d5663d83003599ee9d8a4eee11a840aa4d8847d1d7967c",
+    "product-simplices:p=4,n=10,k=2": "209c155f7a0be24f892a59aa40389b8728eb03d4eae838fd182827ebb66c1cf0",
+}
+
+
+@pytest.mark.parametrize("spec", list(ORACLE_GOLDEN))
+def test_analyze_oracle_digest(spec):
+    assert digest(parse_family_spec(spec), with_oracle=True, seed=0) == ORACLE_GOLDEN[spec]

@@ -13,7 +13,7 @@ from delzant.invariants import (
     maslov_area_report,
     t_vector,
 )
-from delzant.polytopes import HPolytope, redundancy
+from delzant.polytopes import HPolytope, redundancy, structure_report
 from delzant.quadrics import QuadricSystem, polytope_to_quadrics
 from .test_polytopes import interval, product_simplices, redundant_simplex
 
@@ -229,7 +229,7 @@ class TestCrosscheck:
     def test_product_family_agrees_true(self):
         poly = product_simplices(4, 10, 2)
         _, _, _, report = analyze(poly)
-        assert fano_monotone_crosscheck(poly, report) is True
+        assert fano_monotone_crosscheck(structure_report(poly), report) is True
         assert report.monotone
 
     def test_stretched_offsets_agree_false(self):
@@ -238,18 +238,18 @@ class TestCrosscheck:
         stretched = HPolytope(poly.dim, poly.normals, offsets)
         _, _, _, report = analyze(stretched)
         assert not report.monotone
-        assert fano_monotone_crosscheck(stretched, report) is True
+        assert fano_monotone_crosscheck(structure_report(stretched), report) is True
 
     def test_interval_agrees_true(self):
         poly = interval()
         _, _, _, report = analyze(poly)
         assert report.monotone
-        assert fano_monotone_crosscheck(poly, report) is True
+        assert fano_monotone_crosscheck(structure_report(poly), report) is True
 
     def test_redundant_family_not_applicable(self):
         poly = redundant_simplex(5, 2)
         _, _, _, report = analyze(poly)
-        assert fano_monotone_crosscheck(poly, report) is None
+        assert fano_monotone_crosscheck(structure_report(poly), report) is None
 
 
 class TestLoopParityInvariant:

@@ -37,6 +37,11 @@ class TestSamplePoint:
         point = sample_point(q, family="redundant-simplex:n=5,k=2")
         assert np.allclose(point.u, [1, 1, 1, 1, 2])
 
+    def test_hint_for_another_size_rejected(self):
+        q = polytope_to_quadrics(gen_redundant_simplex(5, 2))
+        with pytest.raises(OracleError, match="inequalities"):
+            sample_point(q, family="redundant-simplex:n=7,k=4")
+
     def test_generic_sampling_deterministic(self):
         q = polytope_to_quadrics(gen_redundant_simplex(7, 4))
         a = sample_point(q, seed=11)

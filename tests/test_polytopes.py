@@ -14,7 +14,6 @@ from delzant.polytopes import (
     is_bounded,
     is_delzant,
     is_fano,
-    is_generic,
     is_simple,
     parse_polytope,
     polytope_to_json,
@@ -97,6 +96,21 @@ class TestParsing:
         with pytest.raises(PolytopeFormatError, match="p/q"):
             parse_polytope('{"A": [[1, -1]], "b": ["1", "one"]}')
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([["1_0", -1]], ["1", "1"]),
+            ([["\u0661\u0662", -1]], ["1", "1"]),
+            ([[1, -1]], ["1_0", "1"]),
+            ([[1, -1]], ["1/2_0", "1"]),
+            ([[1, -1]], ["\u0661\u0662", "1"]),
+        ],
+    )
+    def test_rejects_underscores_and_non_ascii_digits(self, a, b):
+        # int() and Fraction() would read "1_0" as 10 and Arabic-Indic digits as 12
+        with pytest.raises(PolytopeFormatError):
+            parse_polytope(json.dumps({"A": a, "b": b}))
+
     def test_roundtrip(self):
         poly = product_simplices(4, 10, 2)
         again = parse_polytope(json.dumps(polytope_to_json(poly)))
@@ -172,7 +186,7 @@ class TestPredicates:
         poly = unit_square()
         vs = enumerate_vertices(poly)
         assert is_simple(vs, 2)
-        assert is_generic(poly, vs)
+        assert structure_report(poly).generic
         assert is_delzant(poly, vs)
 
     def test_square_pyramid_not_simple(self):
@@ -193,13 +207,11 @@ class TestPredicates:
     def test_duplicated_facet_not_generic(self):
         tri = simplex(2)
         dup = HPolytope(2, tri.normals + ((1, 0),), tri.offsets + (Fraction(1),))
-        vs = enumerate_vertices(dup)
-        assert not is_generic(dup, vs)
+        assert structure_report(dup).generic is False
 
     def test_product_family_generic(self):
         poly = product_simplices(4, 10, 2)
-        vs = enumerate_vertices(poly)
-        assert is_generic(poly, vs)
+        assert structure_report(poly).generic
 
     def test_product_family_delzant(self):
         poly = product_simplices(4, 10, 2)
@@ -211,7 +223,7 @@ class TestPredicates:
             2, ((1, 0), (0, 1), (-1, -2)), (Fraction(0), Fraction(0), Fraction(2))
         )
         vs = enumerate_vertices(poly)
-        assert is_simple(vs, 2) and is_generic(poly, vs)
+        assert is_simple(vs, 2) and structure_report(poly).generic
         assert not is_delzant(poly, vs)
 
     def test_product_family_dichotomy(self):
@@ -228,7 +240,7 @@ class TestPredicates:
                 assert not is_simple(vs, poly.dim)
             else:
                 assert is_simple(vs, poly.dim)
-                assert is_generic(poly, vs)
+                assert structure_report(poly).generic
                 assert is_delzant(poly, vs)
 
 

@@ -177,7 +177,16 @@ class TestNondegeneracy:
 class TestQuadricJson:
     @pytest.mark.parametrize(
         "gamma, delta",
-        [([[1.9, 1]], ["1"]), ([[1, True]], ["1"]), ([["1.5", 1]], ["1"]), ([[1, 1]], [0.5])],
+        [
+            ([[1.9, 1]], ["1"]),
+            ([[1, True]], ["1"]),
+            ([["1.5", 1]], ["1"]),
+            ([[1, 1]], [0.5]),
+            ([["1_0", 1]], ["1"]),
+            ([["\u0661\u0662", 1]], ["1"]),
+            ([[1, 1]], ["1_0"]),
+            ([[1, 1]], ["\u0661\u0662/2"]),
+        ],
     )
     def test_rejects_coercible_entries(self, gamma, delta):
         import json

@@ -50,6 +50,10 @@ class TestProfileJson:
             ("L_dim", True),
             ("dims", {"0": 1, "3": 1.5}),
             ("dims", {"0": 1, "1.0": 1}),
+            ("L_dim", "1_0"),
+            ("L_dim", "\u0661\u0662"),
+            ("dims", {"0": 1, "1_0": 1}),
+            ("dims", {"0": 1, "3": "\u0661\u0662"}),
         ],
     )
     def test_rejects_coercible_fields(self, field, value):

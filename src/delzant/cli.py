@@ -100,7 +100,7 @@ def cmd_obstruct(args) -> int:
     if args.nmax is not None and args.nmax < 2:
         raise ValueError("--nmax must be at least 2")
     if args.family:
-        profile = parse_profile_spec(args.family, args.l_dim)
+        profile = parse_profile_spec(args.family, args.L_dim)
     elif args.path:
         profile = parse_profile(_read(args.path))
     else:
@@ -176,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 2 unless the presentation is Delzant",
     )
-    analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--samples", type=int, default=0)
-    analyze.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
+    analyze.add_argument("--seed", default=0)
+    analyze.add_argument("--samples", default=0)
+    analyze.add_argument("--budget", default=DEFAULT_SUBSET_BUDGET)
     analyze.set_defaults(func=cmd_analyze)
 
     quad = sub.add_parser("quadrics", help="convert between polytopes and quadrics")
@@ -196,21 +196,21 @@ def build_parser() -> argparse.ArgumentParser:
     obstruct = sub.add_parser("obstruct", help="admissible minimal Maslov numbers")
     obstruct.add_argument("path", nargs="?", help="homology profile JSON file")
     obstruct.add_argument("--family", help="e.g. sphere-product:p=4,q=6")
-    obstruct.add_argument("--L-dim", dest="l_dim", type=int, default=None)
-    obstruct.add_argument("--nmax", type=int, default=None)
+    obstruct.add_argument("--L-dim", default=None)
+    obstruct.add_argument("--nmax", default=None)
     obstruct.set_defaults(func=cmd_obstruct)
 
     oracle = sub.add_parser("oracle", help="numerical loop checks for a polytope")
     oracle.add_argument("path", nargs="?", help="polytope JSON file")
     oracle.add_argument("--family", help="generate the input from a family spec")
     oracle.add_argument("--loop", help="comma-separated loop class coordinates")
-    oracle.add_argument("--seed", type=int, default=0)
-    oracle.add_argument("--samples", type=int, default=0)
+    oracle.add_argument("--seed", default=0)
+    oracle.add_argument("--samples", default=0)
     oracle.set_defaults(func=cmd_oracle)
 
     verify = sub.add_parser("verify", help="run the reproduction suite")
     verify.add_argument("--only", help="run only suites whose key contains this string")
-    verify.add_argument("--seed", type=int, default=None, help="override the seeded checks")
+    verify.add_argument("--seed", default=None, help="override the seeded checks")
     verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -219,6 +219,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse's int would read "1_0" and non-ASCII digits
+        for dest in ("seed", "samples", "budget", "nmax", "L_dim"):
+            if getattr(args, dest, None) is not None:
+                flag = "--" + dest.replace("_", "-")
+                setattr(args, dest, parse_integer(getattr(args, dest), flag))
         return args.func(args)
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -173,22 +173,6 @@ def _core_rows(system: QuadricSystem, strict_redundant: list[int]):
     return coefficients, rhs
 
 
-def _flip_parities(
-    deck: DeckData, system: QuadricSystem, core_columns: list[int]
-) -> list[int] | None:
-    """Per dual-basis-generator count of core coordinates flipped, mod 2."""
-    parities = []
-    for eps in deck.dual_basis:
-        count = 0
-        for j in core_columns:
-            pairing = Fraction(linalg.dot(eps, system.column(j)))
-            if pairing.denominator != 1:
-                return None
-            count += pairing.numerator % 2
-        parities.append(count % 2)
-    return parities
-
-
 def recognize_topology(
     system: QuadricSystem,
     strict_redundant: list[int] | tuple[int, ...] = (),
@@ -213,8 +197,8 @@ def recognize_topology(
     components = 2 ** len(strict)
     if deck is None:
         deck = deck_data(system)
-    parities = _flip_parities(deck, system, core_columns)
-    orientable = parities is not None and not any(parities)
+    # orientable iff no dual basis generator flips an odd number of core coordinates
+    orientable = not any(sum(row[j] for j in core_columns) % 2 for row in deck.pairings)
 
     if len(coefficients) == 1:
         row = coefficients[0]
@@ -252,14 +236,13 @@ def _match_two_quadrics(rows, rhs, torus_rank, orientable, components):
         vb, vc = (x for x in kinds if x != va)
     else:
         return None
-    if abs(linalg.det([list(vb), list(vc)])) != 1:
+    (a, b), (c, d) = vb, vc
+    det = a * d - b * c
+    if abs(det) != 1:
         return None
-    duals = linalg.transpose(
-        [[Fraction(x) for x in row] for row in _inverse_2x2(vb, vc)]
-    )
-    f1, f2 = duals
-    d1 = sum((Fraction(x) * d for x, d in zip(f1, rhs)), Fraction(0))
-    d2 = sum((Fraction(x) * d for x, d in zip(f2, rhs)), Fraction(0))
+    # rhs in the basis (vb, vc): rhs = d1 * vb + d2 * vc
+    d1 = (d * rhs[0] - c * rhs[1]) / det
+    d2 = (a * rhs[1] - b * rhs[0]) / det
     count_a = sum(1 for c in columns if c == va) if va is not None else 0
     count_b = sum(1 for c in columns if c == vb)
     count_c = sum(1 for c in columns if c == vc)
@@ -276,16 +259,6 @@ def _match_two_quadrics(rows, rhs, torus_rank, orientable, components):
     if min(dims) < 0:
         return None
     return _tag(tuple(sorted(dims, reverse=True)), torus_rank, orientable, components)
-
-
-def _inverse_2x2(vb, vc):
-    a, b = vb
-    c, d = vc
-    det = a * d - b * c
-    return [
-        [Fraction(d, det), Fraction(-b, det)],
-        [Fraction(-c, det), Fraction(a, det)],
-    ]
 
 
 def _tag(sphere_dims, torus_rank, orientable, components):

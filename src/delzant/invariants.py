@@ -6,14 +6,18 @@ group is dual-mod-doubled.  On a loop class ``v`` (a dual-lattice element)
 the Maslov homomorphism evaluates to ``<v, t>`` with ``t = sum_j gamma_j``,
 and the symplectic area to ``(pi/2) <v, delta>``.  Both pairings are basis
 independent; all loop data below is expressed in coordinates with respect
-to the canonical dual basis.
+to the canonical dual basis.  ``DeckData`` carries the integer pairing
+matrix ``<eps_p, gamma_j>`` of that basis with the columns, checked for
+integrality once; every parity, Maslov value and loop pairing is read
+from it, and only the areas pair a dual vector with ``delta``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import linalg
 from .polytopes import StructureReport, format_rational
@@ -35,11 +39,16 @@ class InvariantError(ValueError):
 
 @dataclass(frozen=True)
 class DeckData:
-    """Lattice data of the torus factor: basis of the column lattice and its dual."""
+    """Lattice data of the torus factor: basis of the column lattice and its dual.
+
+    ``pairings[p][j]`` is the integer ``<eps_p, gamma_j>`` of dual basis
+    vector p with column j.
+    """
 
     rank: int
     lattice_basis: tuple[tuple[int, ...], ...]
     dual_basis: tuple[tuple[Fraction, ...], ...]
+    pairings: tuple[tuple[int, ...], ...]
 
     @property
     def deck_order(self) -> int:
@@ -72,7 +81,7 @@ def deck_data(system: QuadricSystem) -> DeckData:
     """Basis of the lattice generated by the coefficient columns, plus its dual."""
     rank = system.m
     if rank == 0:
-        return DeckData(rank=0, lattice_basis=(), dual_basis=())
+        return DeckData(rank=0, lattice_basis=(), dual_basis=(), pairings=())
     columns = [list(c) for c in system.columns()]
     basis = linalg.row_basis(columns)
     if len(basis) < rank:
@@ -81,18 +90,23 @@ def deck_data(system: QuadricSystem) -> DeckData:
             "the torus construction is undefined"
         )
     dual = linalg.dual_lattice(basis)
+    # the dual rows as integer numerators over one denominator, times Gamma
+    scale = math.lcm(*(x.denominator for row in dual for x in row))
+    numerators = [[int(x * scale) for x in row] for row in dual]
+    scaled = linalg.mat_mul(numerators, system.gamma)
+    if any(x % scale for row in scaled for x in row):
+        raise InvariantError("a dual basis vector pairs non-integrally with a lattice column")
     return DeckData(
         rank=rank,
         lattice_basis=tuple(tuple(r) for r in basis),
         dual_basis=tuple(tuple(r) for r in dual),
+        pairings=tuple(tuple(x // scale for x in row) for row in scaled),
     )
 
 
-def _pairing_int(dual_vector: Sequence[Fraction], column: Sequence[int]) -> int:
-    value = Fraction(linalg.dot(dual_vector, column))
-    if value.denominator != 1:
-        raise InvariantError("dual vector pairs non-integrally with a lattice column")
-    return value.numerator
+def delta_pairings(deck: DeckData, system: QuadricSystem) -> list[Fraction]:
+    """``<eps_p, delta>`` for each dual basis vector; areas are read from these."""
+    return [Fraction(linalg.dot(eps, system.delta)) for eps in deck.dual_basis]
 
 
 def loop_lattice(
@@ -107,12 +121,7 @@ def loop_lattice(
     d = deck.rank
     if not redundant:
         return LoopLattice(tuple(tuple(row) for row in linalg.identity(d)), 1, True)
-    parity_rows = []
-    for s in redundant:
-        column = system.column(s)
-        parity_rows.append(
-            [_pairing_int(eps, column) % 2 for eps in deck.dual_basis]
-        )
+    parity_rows = [[row[s] % 2 for row in deck.pairings] for s in redundant]
     solutions = _gf2_kernel(parity_rows, d)
     stacked = solutions + [[2 * x for x in row] for row in linalg.identity(d)]
     basis = linalg.row_basis(stacked)
@@ -150,13 +159,6 @@ def _gf2_kernel(rows: list[list[int]], width: int) -> list[list[int]]:
     return kernel
 
 
-def _actual_vector(deck: DeckData, coords: Sequence[int]) -> list[Fraction]:
-    return [
-        sum((Fraction(c) * eps[p] for c, eps in zip(coords, deck.dual_basis)), Fraction(0))
-        for p in range(deck.rank)
-    ]
-
-
 def t_vector(system: QuadricSystem) -> tuple[int, ...]:
     return tuple(sum(row) for row in system.gamma)
 
@@ -171,12 +173,10 @@ def maslov_area_report(
     nonzero area defeats monotonicity.
     """
     t = t_vector(system)
-    maslov: list[int] = []
-    areas: list[Fraction] = []
-    for coords in loops.basis:
-        vector = _actual_vector(deck, coords)
-        maslov.append(_pairing_int(vector, t))
-        areas.append(Fraction(linalg.dot(vector, system.delta)) / 2)
+    generator_maslov = [sum(row) for row in deck.pairings]
+    generator_areas = [value / 2 for value in delta_pairings(deck, system)]
+    maslov = [linalg.dot(coords, generator_maslov) for coords in loops.basis]
+    areas = [Fraction(linalg.dot(coords, generator_areas)) for coords in loops.basis]
     minimal = linalg.gcd_over_basis(maslov)
     coeff: Fraction | None = None
     monotone = True

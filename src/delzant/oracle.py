@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
 from .families import FamilyRangeWarning, parse_family_spec
-from .invariants import _actual_vector, deck_data
+from .invariants import DeckData, deck_data, delta_pairings
 from .quadrics import QuadricSystem, quadrics_to_polytope
 from .polytopes import enumerate_vertices
 
@@ -145,19 +144,26 @@ def sample_point(
     return RPoint(u, r)
 
 
-def _loop_data(system: QuadricSystem, loop: TorusLoop):
-    """Integer pairings n_j = <gamma_j, w> of the realized dual vector."""
-    deck = deck_data(system)
+@dataclass(frozen=True)
+class _LoopData:
+    """The exact data of a realized loop class w, read off the deck pairings."""
+
+    pairings: np.ndarray  # n_j = <w, gamma_j>
+    maslov: int  # <w, t>, doubled for a doubled loop
+    area: float  # pi <w, delta>, halved for a plain loop
+
+
+def _loop_data(system: QuadricSystem, loop: TorusLoop, deck: DeckData) -> _LoopData:
     if len(loop.coeffs) != deck.rank:
         raise OracleError("loop coefficients do not match the torus rank")
-    w = _actual_vector(deck, loop.coeffs)
-    pairings = []
-    for j in range(system.n):
-        value = Fraction(linalg.dot(w, system.column(j)))
-        if value.denominator != 1:
-            raise OracleError("loop class pairs non-integrally with a column")
-        pairings.append(value.numerator)
-    return np.array(pairings, dtype=float), w
+    pairings = [
+        sum(c * row[j] for c, row in zip(loop.coeffs, deck.pairings)) for j in range(system.n)
+    ]
+    factor = 2 if loop.doubled else 1
+    area = linalg.dot(loop.coeffs, delta_pairings(deck, system)) * factor / 2
+    return _LoopData(
+        np.array(pairings, dtype=float), factor * sum(pairings), float(area) * math.pi
+    )
 
 
 def _check_closure(loop: TorusLoop, pairings: np.ndarray, u: np.ndarray, tol: float):
@@ -177,7 +183,13 @@ def loop_area(
     config: OracleConfig = DEFAULT_CONFIG,
 ) -> float:
     """Liouville-form integral along the realized loop by composite quadrature."""
-    pairings, _ = _loop_data(system, loop)
+    pairings = _loop_data(system, loop, deck_data(system)).pairings
+    return _loop_area(pairings, loop, point, config)
+
+
+def _loop_area(
+    pairings: np.ndarray, loop: TorusLoop, point: RPoint, config: OracleConfig
+) -> float:
     u = point.u
     _check_closure(loop, pairings, u, config.residual_tol)
     factor = 2.0 if loop.doubled else 1.0
@@ -193,10 +205,7 @@ def loop_area(
 
 def closed_form_area(system: QuadricSystem, loop: TorusLoop) -> float:
     """pi <w, delta> for doubled loops, half that for plain ones."""
-    _, w = _loop_data(system, loop)
-    value = Fraction(linalg.dot(w, system.delta))
-    scale = Fraction(1) if loop.doubled else Fraction(1, 2)
-    return float(value * scale) * math.pi
+    return _loop_data(system, loop, deck_data(system)).area
 
 
 def _frame_matrix(system: QuadricSystem, u: np.ndarray) -> np.ndarray:
@@ -229,7 +238,13 @@ def loop_maslov(
     sampling is refined until consecutive phases differ by less than pi/2,
     and the winding must land within ``winding_turn_tol`` of an integer.
     """
-    pairings, _ = _loop_data(system, loop)
+    pairings = _loop_data(system, loop, deck_data(system)).pairings
+    return _loop_maslov(system, pairings, loop, point, config)
+
+
+def _loop_maslov(
+    system: QuadricSystem, pairings: np.ndarray, loop: TorusLoop, point: RPoint, config: OracleConfig
+) -> int:
     u = point.u
     _check_closure(loop, pairings, u, config.residual_tol)
     factor = 2.0 if loop.doubled else 1.0
@@ -262,11 +277,7 @@ def loop_maslov(
 
 def expected_maslov(system: QuadricSystem, loop: TorusLoop) -> int:
     """The exact pairing of the realized loop class with the column sum."""
-    pairings, w = _loop_data(system, loop)
-    t = [sum(row) for row in system.gamma]
-    value = Fraction(linalg.dot(w, t))
-    scale = 2 if loop.doubled else 1
-    return int(value * scale)
+    return _loop_data(system, loop, deck_data(system)).maslov
 
 
 def check_record(name, expected, actual, tolerance):
@@ -292,6 +303,7 @@ def oracle_checks(
 ) -> list[dict]:
     """Area and winding comparisons for a batch of loops at one sampled point."""
     point = sample_point(system, family=family, seed=seed, config=config)
+    deck = deck_data(system)
     records = [
         check_record(
             "point-residual",
@@ -302,14 +314,9 @@ def oracle_checks(
     ]
     for loop in loops:
         label = "(" + ",".join(str(c) for c in loop.coeffs) + ")"
-        area = loop_area(system, loop, point, config)
-        records.append(
-            check_record(
-                f"area{label}", closed_form_area(system, loop), area, config.area_rtol
-            )
-        )
-        winding = loop_maslov(system, loop, point, config)
-        records.append(
-            check_record(f"maslov{label}", expected_maslov(system, loop), winding, 0)
-        )
+        data = _loop_data(system, loop, deck)
+        area = _loop_area(data.pairings, loop, point, config)
+        records.append(check_record(f"area{label}", data.area, area, config.area_rtol))
+        winding = _loop_maslov(system, data.pairings, loop, point, config)
+        records.append(check_record(f"maslov{label}", data.maslov, winding, 0))
     return records

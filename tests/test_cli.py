@@ -84,6 +84,8 @@ class TestFamily:
             "product-simplices:p=4,n=10,k=2,q=9",
             "product-simplices:p=4,n=1_0,k=2",
             "redundant-simplex:n=\u0661\u0663,k=8",
+            "product-simplices:p=4,n=\u0663,k=2",
+            "product-simplices:p=4,n=1.5,k=2",
         ],
     )
     def test_malformed_spec_exits_1(self, capsys, spec):
@@ -181,10 +183,34 @@ class TestOracleCommand:
         area = next(r for r in records if r["check"].startswith("area"))
         assert area["expected"] == pytest.approx(6 * 3.141592653589793)
 
-    @pytest.mark.parametrize("loop", ["0,1_0", "0,x", "0,\u0661"])
+    @pytest.mark.parametrize("loop", ["0,1_0", "0,x", "0,\u0661", "0,\u0663", "0,1.5"])
     def test_malformed_loop_exits_1(self, capsys, redundant_file, loop):
         code, out, err = run_cli(capsys, "oracle", str(redundant_file), "--loop", loop)
         assert code == 1 and out == "" and err.startswith("error:")
+
+
+PRODUCT_SPEC = "product-simplices:p=4,n=10,k=2"
+
+
+class TestIntegerOptions:
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "1.5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--family", PRODUCT_SPEC, "--seed"),
+            ("analyze", "--family", PRODUCT_SPEC, "--samples"),
+            ("analyze", "--family", PRODUCT_SPEC, "--budget"),
+            ("obstruct", "--family", "sphere-product:p=4,q=6", "--nmax"),
+            ("obstruct", "--family", "sphere-product:p=4,q=6", "--L-dim"),
+            ("oracle", "--family", PRODUCT_SPEC, "--seed"),
+            ("oracle", "--family", PRODUCT_SPEC, "--samples"),
+            ("verify", "--only", "area", "--seed"),
+        ],
+    )
+    def test_malformed_integer_option_exits_1(self, capsys, argv, value):
+        code, out, err = run_cli(capsys, *argv, value)
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert argv[-1] in err
 
 
 class TestVerify:

@@ -310,6 +310,11 @@ class TestLoopIndexBruteForce:
                 deck = deck_data(q)
             except InvariantError:
                 continue
+            # the integer pairing matrix is dual_basis . Gamma, computed in Fractions
+            assert [list(row) for row in deck.pairings] == [
+                [linalg.dot(eps, q.column(j)) for j in range(n)] for eps in deck.dual_basis
+            ]
+            assert all(type(x) is int for row in deck.pairings for x in row)
             strict = sorted(rng.sample(range(n), rng.randint(0, min(2, n))))
             loops = loop_lattice(deck, q, strict)
             count = 0

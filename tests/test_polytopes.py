@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delzant import linalg
 from delzant.polytopes import (
@@ -20,6 +22,33 @@ from delzant.polytopes import (
     redundancy,
     structure_report,
 )
+
+
+def presentations():
+    """Presentations of dimension 1-4: nonzero big-integer normals, rational offsets."""
+
+    def of_dim(dim):
+        normal = st.lists(st.integers(-(10**20), 10**20), min_size=dim, max_size=dim)
+        rows = st.lists(st.tuples(normal.filter(any).map(tuple), st.fractions()), max_size=6)
+        return rows.map(lambda r: HPolytope(dim, tuple(a for a, _ in r), tuple(b for _, b in r)))
+
+    return st.integers(1, 4).flatmap(of_dim)
+
+
+def coercible_numbers():
+    """JSON values that ``int`` or ``Fraction`` would read, which every input format rejects.
+
+    Digit-group underscores, decimal digits outside ASCII (Arabic-Indic,
+    Extended Arabic-Indic, Devanagari, full-width), floats and bools.
+    """
+    digits = st.integers(0, 10**6).map(str)
+    zeros = st.sampled_from([0x660, 0x6F0, 0x966, 0xFF10])
+    return st.one_of(
+        st.tuples(digits, digits).map("_".join),
+        st.tuples(zeros, digits).map(lambda z: "".join(chr(z[0] + int(c)) for c in z[1])),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.booleans(),
+    )
 
 
 def interval(lo=-1, hi=1):
@@ -115,6 +144,23 @@ class TestParsing:
         poly = product_simplices(4, 10, 2)
         again = parse_polytope(json.dumps(polytope_to_json(poly)))
         assert again == poly
+
+    @settings(max_examples=100, deadline=None)
+    @given(presentations())
+    def test_roundtrip_property(self, poly):
+        assert parse_polytope(json.dumps(polytope_to_json(poly))) == poly
+
+    @settings(max_examples=100, deadline=None)
+    @given(presentations().filter(lambda p: p.n), coercible_numbers(), st.data())
+    def test_rejects_coercible_entry_property(self, poly, value, data):
+        doc = polytope_to_json(poly)
+        i = data.draw(st.integers(0, poly.n - 1))
+        if data.draw(st.booleans()):
+            doc["A"][data.draw(st.integers(0, poly.dim - 1))][i] = value
+        else:
+            doc["b"][i] = value
+        with pytest.raises(PolytopeFormatError, match="entry of"):
+            parse_polytope(json.dumps(doc))
 
 
 class TestVertexEnumeration:

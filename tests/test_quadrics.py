@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delzant import linalg
 from delzant.polytopes import (
@@ -20,7 +24,25 @@ from delzant.quadrics import (
     quadrics_to_json,
     quadrics_to_polytope,
 )
-from .test_polytopes import interval, product_simplices, redundant_simplex, simplex
+from .test_polytopes import (
+    coercible_numbers,
+    interval,
+    product_simplices,
+    redundant_simplex,
+    simplex,
+)
+
+
+def quadric_systems():
+    """Systems of 0-3 quadrics in 1-6 variables: big-integer Gamma, rational delta."""
+
+    def of_shape(m, n):
+        row = st.lists(st.integers(-(10**20), 10**20), min_size=n, max_size=n)
+        return st.tuples(
+            st.lists(row, min_size=m, max_size=m), st.lists(st.fractions(), min_size=m, max_size=m)
+        ).map(lambda gd: QuadricSystem(tuple(map(tuple, gd[0])), tuple(gd[1])))
+
+    return st.tuples(st.integers(0, 3), st.integers(1, 6)).flatmap(lambda mn: of_shape(*mn))
 
 
 class TestForward:
@@ -189,17 +211,30 @@ class TestQuadricJson:
         ],
     )
     def test_rejects_coercible_entries(self, gamma, delta):
-        import json
-
         with pytest.raises(PolytopeFormatError):
             parse_quadrics(json.dumps({"Gamma": gamma, "delta": delta}))
 
     def test_roundtrip(self):
         q = polytope_to_quadrics(redundant_simplex(5, 2))
-        import json
-
         again = parse_quadrics(json.dumps(quadrics_to_json(q)))
         assert again == q
+
+    @settings(max_examples=100, deadline=None)
+    @given(quadric_systems())
+    def test_roundtrip_property(self, q):
+        assert parse_quadrics(json.dumps(quadrics_to_json(q))) == q
+
+    @settings(max_examples=100, deadline=None)
+    @given(quadric_systems().filter(lambda q: q.m), coercible_numbers(), st.data())
+    def test_rejects_coercible_entry_property(self, q, value, data):
+        doc = quadrics_to_json(q)
+        i = data.draw(st.integers(0, q.m - 1))
+        if data.draw(st.booleans()):
+            doc["Gamma"][i][data.draw(st.integers(0, q.n - 1))] = value
+        else:
+            doc["delta"][i] = value
+        with pytest.raises(PolytopeFormatError, match="entry of"):
+            parse_quadrics(json.dumps(doc))
 
     def test_slack_identity_on_sampled_squares(self):
         # Gamma (squares of a polytope point's slacks) = delta, exactly

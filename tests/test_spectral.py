@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delzant.polytopes import PolytopeFormatError
 from delzant.spectral import (
@@ -17,6 +19,8 @@ from delzant.spectral import (
     profile_to_json,
     run_engine,
 )
+
+from .test_polytopes import coercible_numbers
 
 
 def sphere_product(p, q, l_dim):
@@ -36,10 +40,41 @@ def connected_sum(p):
     return HomologyProfile.from_dims(dims, 5 * p, orientable=True)
 
 
+def profiles():
+    """Profiles with dim L up to 30 and Betti numbers up to 10^9."""
+
+    def of_dim(l_dim):
+        dims = st.dictionaries(st.integers(0, l_dim), st.integers(0, 10**9), max_size=8)
+        return st.tuples(dims, st.integers(1, 10**9), st.booleans()).map(
+            lambda z: HomologyProfile.from_dims({**z[0], 0: z[1]}, l_dim, z[2])
+        )
+
+    return st.integers(0, 30).flatmap(of_dim)
+
+
 class TestProfileJson:
     def test_roundtrip(self):
         profile = sphere_product(4, 6, 10)
         assert parse_profile(json.dumps(profile_to_json(profile))) == profile
+
+    @settings(max_examples=100, deadline=None)
+    @given(profiles())
+    def test_roundtrip_property(self, profile):
+        assert parse_profile(json.dumps(profile_to_json(profile))) == profile
+
+    @settings(max_examples=100, deadline=None)
+    @given(profiles(), coercible_numbers(), st.sampled_from(["degree", "entry", "L_dim"]))
+    def test_rejects_coercible_field_property(self, profile, value, where):
+        doc = profile_to_json(profile)
+        degree = str(profile.cover_dim)
+        if where == "degree":  # JSON keys are strings
+            doc["dims"][str(value)] = doc["dims"].pop(degree)
+        elif where == "entry":
+            doc["dims"][degree] = value
+        else:
+            doc["L_dim"] = value
+        with pytest.raises(PolytopeFormatError, match="dims|L_dim"):
+            parse_profile(json.dumps(doc))
 
     @pytest.mark.parametrize(
         "field, value",

@@ -1,21 +1,41 @@
-"""The per-layer tracer in ``perfbench/tracer.py`` rebinds library functions by name.
+"""The benchmark in ``perfbench/`` calls into the library by name.
 
-``--trace 1`` looks each name up with ``getattr`` and fails when one has
-been renamed or removed, so the names it wraps must stay public.
+``--trace 1`` looks each name in ``perfbench/tracer.py``'s ``LAYERS`` up
+with ``getattr`` and fails when one has been renamed or removed, so the
+names it wraps must stay public.  The workloads in ``perfbench/workloads.py``
+call the library with fixed signatures; one op of each catches a change
+that would break them.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_name_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load("tracer")
     for layer, names in tracer.LAYERS.items():
         module = importlib.import_module(f"delzant.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"delzant.{layer}.{name}"
+
+
+@pytest.mark.parametrize("name", ["families", "random-polytopes", "oracle", "obstruct"])
+def test_workload_runs_one_checked_op(name):
+    workload = _load("workloads").WORKLOADS[name](seed=0, seconds=0)
+    workload.warm_up()
+    item = workload.inputs[0]
+    answer = workload.op(item)
+    assert workload.check(item, answer) == []
+    assert workload.check(item, workload.corrupt(answer)) != []

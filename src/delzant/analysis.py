@@ -109,7 +109,7 @@ def analyze_polytope(
     if non_strict:
         loops = inv.doubled_loop_lattice(deck)
     else:
-        loops = inv.loop_lattice(deck, system, structure.strict_redundant)
+        loops = inv.loop_lattice(deck, structure.strict_redundant)
     report = inv.maslov_area_report(deck, system, loops)
     topology = recognize_topology(system, structure.strict_redundant, deck)
     assumptions = list(report.assumptions)

@@ -142,7 +142,7 @@ def cmd_oracle(args) -> int:
         strict = sorted(i for i, s in redundancy(poly, vertex_set=vertex_set).items() if s)
         loops = [
             TorusLoop(v, doubled=True, samples=args.samples)
-            for v in loop_lattice(deck_data(system), system, strict).basis
+            for v in loop_lattice(deck_data(system), strict).basis
         ]
     records = oracle_checks(system, loops, family=family_spec(system), seed=args.seed)
     _emit(records)

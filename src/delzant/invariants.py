@@ -109,9 +109,7 @@ def delta_pairings(deck: DeckData, system: QuadricSystem) -> list[Fraction]:
     return [Fraction(linalg.dot(eps, system.delta)) for eps in deck.dual_basis]
 
 
-def loop_lattice(
-    deck: DeckData, system: QuadricSystem, strict_redundant: Iterable[int]
-) -> LoopLattice:
+def loop_lattice(deck: DeckData, strict_redundant: Iterable[int]) -> LoopLattice:
     """Loop classes: dual vectors pairing evenly with every strict redundant column.
 
     With no redundancy this is the whole dual lattice.  The congruence rule

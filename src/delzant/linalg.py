@@ -5,7 +5,8 @@ Matrices are row-major lists of rows whose entries are Python ``int`` or
 Lattices are represented by basis rows; the canonical representative of a
 row lattice is its row Hermite normal form.  Square solves, determinants,
 ranks, inverses, span coefficients and affine solutions share one
-fraction-free (Bareiss) elimination kernel.
+fraction-free (Bareiss) elimination kernel; the exact simplex pivots with
+the same step.
 """
 
 from __future__ import annotations
@@ -233,22 +234,96 @@ def _bareiss(rows: list[list[int]], width: int) -> tuple[list[int], int]:
             # pivots let a row with nothing to eliminate skip the step
             rows[r] = [-x for x in rows[r]]
             sign = -sign
-        top = rows[r]
-        pivot = top[c]
-        for i in range(m):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            if f:
-                rows[i] = [(pivot * x - f * y) // previous for x, y in zip(row, top)]
-            elif pivot != previous:
-                rows[i] = [pivot * x // previous for x in row]
+        _eliminate(rows, r, c, previous)
         columns.append(c)
         if len(columns) == m:
             break
-        previous = pivot
+        previous = rows[r][c]
     return columns, sign
+
+
+def _eliminate(rows: list[list[int]], r: int, c: int, previous: int) -> None:
+    """Fraction-free pivot on ``rows[r][c]``, in place: each other row becomes
+    ``(pivot * row - row[c] * top) // previous``, exact as every entry is a minor."""
+    top = rows[r]
+    pivot = top[c]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f:
+            if i != r:
+                rows[i] = [(pivot * x - f * y) // previous for x, y in zip(row, top)]
+        elif pivot != previous:
+            rows[i] = [pivot * x // previous for x in row]
+
+
+class PivotBudgetError(LinearAlgebraError):
+    """The simplex would visit more bases than its budget allows."""
+
+
+def _leaving_row(tableau: list[list[int]], m: int, c: int, basis: list[int]) -> int | None:
+    """Bland's ratio test: of the first m rows with a positive entry in column c, the
+    least ratio of right-hand side to entry, ties to the smallest basic variable."""
+    rows = [r for r in range(m) if tableau[r][c] > 0]
+    return min(
+        rows, key=lambda r: (Fraction(tableau[r][-1], tableau[r][c]), basis[r]), default=None
+    )
+
+
+def simplex(rows: Matrix, rhs: Row, cost: Row | None = None, budget: int = 10**6):
+    """Minimum of ``cost . y`` over ``{y >= 0 : rows @ y == rhs}``, for integer data.
+
+    Returns ``"infeasible"``, ``"unbounded"`` or the exact minimum as a
+    Fraction (0 without a cost).  A free variable is passed as two columns,
+    ``y+`` and ``-y-``.  Phase 1 minimises the sum of one artificial
+    variable per row.  Both phases pivot by Bland's rule, which cannot
+    cycle (Math. Oper. Res. 1977): the smallest-index column with a negative
+    reduced cost enters and ``_leaving_row`` picks the row.  The tableau
+    holds integers over the determinant ``den`` of the basis, as in lrs
+    (Avis, 2000): each pivot is ``_bareiss``'s step ``_eliminate``, whose
+    division by the previous pivot is exact because every entry is a minor.
+    Raises ``PivotBudgetError`` rather than visit more than ``budget`` bases.
+    """
+    n = len(cost) if cost is not None else len(rows[0]) if rows else 0
+    tableau = [[*row, b] if b >= 0 else [-x for x in row] + [-b] for row, b in zip(rows, rhs)]
+    m = len(tableau)
+    # artificial variables are not stored: a basic one is the unit column of
+    # its row, and one that leaves never enters again
+    basis = list(range(n, n + m))
+    tableau.append([-sum(column) for column in zip(*tableau)] if m else [0] * (n + 1))
+    if cost is not None:
+        tableau.append([*cost, 0])
+    den, visited = 1, 1
+
+    def pivot(r: int, c: int) -> None:
+        nonlocal den, visited
+        visited += 1
+        if visited > budget:
+            raise PivotBudgetError(f"simplex: more than {budget} bases")
+        _eliminate(tableau, r, c, den)
+        den, basis[r] = tableau[r][c], c
+
+    while tableau[m][n]:  # -den times the sum of the artificial variables
+        c = next((j for j in range(n) if tableau[m][j] < 0), None)
+        if c is None:
+            return "infeasible"
+        pivot(_leaving_row(tableau, m, c, basis), c)
+    if cost is None:
+        return Fraction(0)
+    del tableau[m]
+    for r in range(m):
+        # drive out an artificial variable left basic at zero; a row with no
+        # nonzero entry is a redundant equation
+        c = next((j for j in range(n) if tableau[r][j]), None) if basis[r] >= n else None
+        if c is not None:
+            if tableau[r][c] < 0:
+                tableau[r] = [-x for x in tableau[r]]
+            pivot(r, c)
+    while (c := next((j for j in range(n) if tableau[m][j] < 0), None)) is not None:
+        r = _leaving_row(tableau, m, c, basis)
+        if r is None:
+            return "unbounded"
+        pivot(r, c)
+    return Fraction(-tableau[m][n], den)
 
 
 def _solve(rows: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
@@ -404,17 +479,9 @@ def dual_lattice(basis: Matrix) -> list[list[Fraction]]:
     if d == 0 or len(basis[0]) != d:
         raise LinearAlgebraError("dual lattice needs a full-rank square basis")
     numerators, den = inverse(basis)
-    # rows of (B^-1)^T are the columns of B^-1
-    return canonical_rational_basis([[Fraction(x, den) for x in col] for col in zip(*numerators)])
-
-
-def canonical_rational_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """HNF-canonical representative of a rational row lattice."""
-    if not rows:
-        return []
-    scale = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
-    ints = [[int(Fraction(x) * scale) for x in row] for row in rows]
-    return [[Fraction(x, scale) for x in row] for row in row_basis(ints)]
+    # rows of (B^-1)^T are the columns of B^-1; the HNF of N / den is
+    # HNF(N) / den, because the HNF commutes with a positive scale
+    return [[Fraction(x, den) for x in row] for row in row_basis(transpose(numerators))]
 
 
 def gcd_over_basis(values: Sequence[int]) -> int:

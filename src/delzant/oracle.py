@@ -166,7 +166,7 @@ def _loop_data(system: QuadricSystem, loop: TorusLoop, deck: DeckData) -> _LoopD
     )
 
 
-def _check_closure(loop: TorusLoop, pairings: np.ndarray, u: np.ndarray, tol: float):
+def _check_closure(loop: TorusLoop, pairings: np.ndarray, u: np.ndarray):
     if loop.doubled:
         return
     odd = (np.abs(pairings) % 2).astype(bool)
@@ -191,7 +191,7 @@ def _loop_area(
     pairings: np.ndarray, loop: TorusLoop, point: RPoint, config: OracleConfig
 ) -> float:
     u = point.u
-    _check_closure(loop, pairings, u, config.residual_tol)
+    _check_closure(loop, pairings, u)
     factor = 2.0 if loop.doubled else 1.0
     samples = loop.samples or max(
         config.min_samples, 64 * (1 + int(factor * np.max(np.abs(pairings))))
@@ -246,7 +246,7 @@ def _loop_maslov(
     system: QuadricSystem, pairings: np.ndarray, loop: TorusLoop, point: RPoint, config: OracleConfig
 ) -> int:
     u = point.u
-    _check_closure(loop, pairings, u, config.residual_tol)
+    _check_closure(loop, pairings, u)
     factor = 2.0 if loop.doubled else 1.0
     base = _frame_matrix(system, u)
     reference = np.linalg.det(base)

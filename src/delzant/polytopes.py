@@ -2,7 +2,7 @@
 
 A polytope is the solution set of ``<a_i, x> + b_i >= 0`` for integer
 normals ``a_i`` and rational offsets ``b_i``.  All geometry here is done
-in exact rational arithmetic; there is no floating point and no LP solver.
+in exact rational arithmetic; there is no floating point.
 
 A presentation's relation rows ``Gamma`` (a saturated basis of the integer
 relations among the normals, m = n - k rows when the normals span) are
@@ -10,11 +10,11 @@ computed once and its vertices enumerated once; every predicate reads its
 answer from that result.  Vertices come from basis solving on the side
 with the smaller square systems: k-subsets of the inequalities when
 k <= m, else m-subsets B of the Gale dual ``Gamma s = Gamma b, s >= 0``
-(both sides try C(n, k) = C(n, m) subsets).  Boundedness is the dual
-positive-dependence criterion (a strictly positive relation exists iff the
-recession cone is trivial).  Redundancy is read off the vertex-facet
-incidence, with a per-index relaxation only for empty polytopes and
-implicit equalities.  When m < k, a simple vertex's Delzant index is the
+(both sides try C(n, k) = C(n, m) subsets).  Boundedness, the feasibility
+of a rank-deficient system and the redundancy of an index on an empty
+polytope or one with an implicit equality are each one exact LP on
+``Gamma`` (``linalg.simplex``); otherwise redundancy is read off the
+vertex-facet incidence.  When m < k, a simple vertex's Delzant index is the
 m x m minor ``|det Gamma_B|`` on the complement B of its active set.
 """
 
@@ -41,10 +41,11 @@ class PolytopeFormatError(PolytopeError):
 
 
 class SubsetBudgetError(PolytopeError):
-    """A subset search would try more subsets than the configured budget."""
+    """A subset search, or an LP's bases, would exceed the configured budget
+    (for an LP stage ``requested`` is ``budget + 1``, the first basis past it)."""
 
     def __init__(self, stage: str, requested: int, budget: int):
-        super().__init__(f"{stage}: {requested} subsets exceed the budget of {budget}")
+        super().__init__(f"{stage}: {requested} is over the budget of {budget}")
         self.stage = stage
         self.requested = requested
         self.budget = budget
@@ -78,14 +79,6 @@ class HPolytope:
     def matrix(self) -> list[list[int]]:
         """The k x n matrix whose columns are the normals."""
         return [[a[r] for a in self.normals] for r in range(self.dim)]
-
-    def drop(self, index: int) -> "HPolytope":
-        keep = [i for i in range(self.n) if i != index]
-        return HPolytope(
-            self.dim,
-            tuple(self.normals[i] for i in keep),
-            tuple(self.offsets[i] for i in keep),
-        )
 
 
 @dataclass(frozen=True)
@@ -220,113 +213,80 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _integer_rows(poly: HPolytope) -> list[tuple[tuple[int, ...], int]]:
-    """Clear offset denominators: rows (g_i, e_i) with <g_i,x> + e_i >= 0."""
-    rows = []
-    for a, b in zip(poly.normals, poly.offsets):
-        d = b.denominator
-        rows.append((tuple(x * d for x in a), b.numerator))
-    return rows
-
-
-def _scaled_values(rows, point_nums: Sequence[int], den: int) -> list[int] | None:
-    """Scaled inequality values den*(<g,x> + e) at x = nums/den; None on violation."""
-    values = []
-    for grow, e in rows:
-        value = sum(g * x for g, x in zip(grow, point_nums) if g) + e * den
-        if value < 0:
-            return None
-        values.append(value)
-    return values
-
-
 def _check_budget(stage: str, n: int, size: int, budget: int) -> None:
     requested = math.comb(n, size)
     if requested > budget:
         raise SubsetBudgetError(stage, requested, budget)
 
 
-def _vertex_candidates(rows, k: int, budget: int, stage: str):
-    """Yield (point, scaled values) for each feasible basic solution of k rows."""
-    _check_budget(stage, len(rows), k, budget)
-    seen = set()
-    for subset in combinations(range(len(rows)), k):
-        sol = linalg.solve_square(
-            [rows[i][0] for i in subset], [-rows[i][1] for i in subset]
-        )
-        if sol is None:
-            continue
-        key = tuple(sol)
-        if key in seen:
-            continue
-        seen.add(key)
-        den = math.lcm(*(f.denominator for f in sol)) if sol else 1
-        nums = [int(f * den) for f in sol]
-        values = _scaled_values(rows, nums, den)
-        if values is not None:
-            yield tuple(sol), values
+def _relation_rows(poly: HPolytope) -> list[list[int]]:
+    """Saturated basis of the integer relations among the normals (Z^n when k = 0)."""
+    return linalg.integer_kernel(poly.matrix()) if poly.dim else linalg.identity(poly.n)
 
 
-def _relation_rows(poly: HPolytope) -> tuple[tuple[int, ...], ...]:
-    """Saturated basis of the integer relations among the normals."""
-    return tuple(tuple(row) for row in linalg.integer_kernel(poly.matrix()))
+def _slack_system(poly: HPolytope, relations) -> tuple[int, list[int], list[int]]:
+    """``(scale, scale * b, Gamma (scale * b))`` with ``scale`` the offsets'
+    denominator lcm: the slack vectors ``s = A^T x + b`` of the points x,
+    scaled, are the solutions of ``Gamma s = Gamma (scale * b)``."""
+    scale = math.lcm(*(b.denominator for b in poly.offsets))
+    offsets = [int(b * scale) for b in poly.offsets]
+    return scale, offsets, [linalg.dot(row, offsets) for row in relations]
 
 
-def _has_positive_relation(relations, n: int, budget: int) -> bool:
-    """Whether the relation space meets the strictly positive orthant.
+def _simplex(stage: str, budget: int, rows, rhs, cost=None):
+    """``linalg.simplex`` with its basis budget reported as a ``SubsetBudgetError``."""
+    try:
+        return linalg.simplex(rows, rhs, cost, budget)
+    except linalg.PivotBudgetError:
+        raise SubsetBudgetError(stage, budget + 1, budget) from None
 
-    Decided exactly by enumerating basic solutions of ``<c, col_j> >= 1``;
-    the constraint normals span the relation space, so feasibility is
-    equivalent to some basic solution being feasible.
+
+def _bounded(relations, n: int, budget: int) -> bool:
+    """Whether a pointed presentation has no recession direction d != 0.
+
+    The values ``y = A^T d`` of the normals on the directions d are the
+    solutions of ``Gamma y = 0``; a recession direction is one with y >= 0,
+    and y != 0 because the normals span, so it scales to ``1 . y = 1``.
     """
-    m = len(relations)
-    if m == 0:
-        return n == 0
-    cols = [tuple(relations[r][j] for r in range(m)) for j in range(n)]
-    _check_budget("positive-relation search", n, m, budget)
-    for subset in combinations(range(n), m):
-        sol = linalg.solve_square([cols[i] for i in subset], [1] * m)
-        if sol is None:
-            continue
-        den = math.lcm(*(x.denominator for x in sol))
-        nums = [x.numerator * (den // x.denominator) for x in sol]
-        if all(sum(c * x for c, x in zip(col, nums) if c) >= den for col in cols):
-            return True
-    return False
+    rhs = [0] * len(relations) + [1]
+    return _simplex("boundedness LP (bases)", budget, [*relations, [1] * n], rhs) == "infeasible"
 
 
 def is_bounded(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> bool:
-    """Exact boundedness: full-rank normals plus a strictly positive relation."""
-    if poly.dim == 0:
-        return True
+    """Exact boundedness: full-rank normals and no recession direction (one LP)."""
     relations = _relation_rows(poly)
-    if len(relations) != poly.n - poly.dim:
-        return False
-    return _has_positive_relation(relations, poly.n, budget)
-
-
-def _reduced_feasible(poly: HPolytope, budget: int) -> bool:
-    """Feasibility of a rank-deficient system via quotient coordinates."""
-    basis = linalg.row_basis([list(a) for a in poly.normals])
-    r = len(basis)
-    if r == 0:
-        return all(b >= 0 for b in poly.offsets)
-    reduced_normals = tuple(
-        tuple(linalg.dot(row, a) for row in basis) for a in poly.normals
-    )
-    reduced = HPolytope(r, reduced_normals, poly.offsets)
-    return not enumerate_vertices(reduced, budget=budget).empty
+    return len(relations) == poly.n - poly.dim and _bounded(relations, poly.n, budget)
 
 
 def _primal_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
-    """Vertices from every k-subset of the inequalities, solved for the point."""
+    """Vertices from every k-subset of the inequalities, solved for the point.
+
+    Rows (g_i, e_i) clear the offset denominators; x = nums / den is checked
+    on ``den * (<g_i, x> + e_i) >= 0``.
+    """
+    rows = [
+        (tuple(x * b.denominator for x in a), b.numerator)
+        for a, b in zip(poly.normals, poly.offsets)
+    ]
+    _check_budget("vertex enumeration (k-subsets)", poly.n, poly.dim, budget)
+    seen = set()
     vertices = []
-    candidates = _vertex_candidates(
-        _integer_rows(poly), poly.dim, budget, "vertex enumeration (k-subsets)"
-    )
-    for point, values in candidates:
-        active = tuple(i for i, v in enumerate(values) if v == 0)
-        vertices.append(Vertex(point, active))
+    for subset in combinations(range(poly.n), poly.dim):
+        sol = linalg.solve_square([rows[i][0] for i in subset], [-rows[i][1] for i in subset])
+        if sol is None or tuple(sol) in seen:
+            continue
+        seen.add(tuple(sol))
+        den = math.lcm(*(f.denominator for f in sol)) if sol else 1
+        nums = [int(f * den) for f in sol]
+        active = []
+        for i, (grow, e) in enumerate(rows):
+            value = sum(g * x for g, x in zip(grow, nums) if g) + e * den
+            if value < 0:
+                break
+            if not value:
+                active.append(i)
+        else:
+            vertices.append(Vertex(tuple(sol), tuple(active)))
     return vertices
 
 
@@ -343,9 +303,7 @@ def _gale_vertices(poly: HPolytope, relations, budget: int) -> list[Vertex]:
     """
     n, m = poly.n, len(relations)
     _check_budget("vertex enumeration (Gale m-subsets)", n, m, budget)
-    scale = math.lcm(*(b.denominator for b in poly.offsets))
-    offsets = [int(b * scale) for b in poly.offsets]
-    rhs = [linalg.dot(row, offsets) for row in relations]
+    scale, offsets, rhs = _slack_system(poly, relations)
     cols = [tuple(row[j] for row in relations) for j in range(n)]
     seen = set()
     vertices = []
@@ -386,21 +344,16 @@ def enumerate_vertices(
     computed otherwise.  The enumeration runs on the side with the smaller
     square systems: k-subsets when k <= m, Gale m-subsets when m < k.  A
     system whose normals do not span R^k has no vertices; its feasibility is
-    still decided (in quotient coordinates) and reported through the flags.
+    still decided (by one LP on ``Gamma``) and reported through the flags.
     """
     k, n = poly.dim, poly.n
-    if k == 0:
-        feasible = all(b >= 0 for b in poly.offsets)
-        if not feasible:
-            return VertexSet((), True, True, True, ())
-        active = tuple(i for i, b in enumerate(poly.offsets) if b == 0)
-        return VertexSet((Vertex((), active),), True, False, True, ())
     if relations is None:
         relations = _relation_rows(poly)
     relations = tuple(tuple(row) for row in relations)
     if len(relations) != n - k:
-        feasible = _reduced_feasible(poly, budget)
-        return VertexSet((), False, not feasible, False, relations)
+        rhs = _slack_system(poly, relations)[2]
+        empty = _simplex("feasibility LP (bases)", budget, relations, rhs) == "infeasible"
+        return VertexSet((), False, empty, False, relations)
     if len(relations) < k:
         vertices = _gale_vertices(poly, relations, budget)
     else:
@@ -408,7 +361,7 @@ def enumerate_vertices(
     if not vertices:
         return VertexSet((), True, True, True, relations)
     vertices.sort(key=lambda v: v.point)
-    bounded = _has_positive_relation(relations, n, budget)
+    bounded = _bounded(relations, n, budget)
     return VertexSet(tuple(vertices), bounded, False, True, relations)
 
 
@@ -519,45 +472,6 @@ def _incidence_redundancy(n: int, vertices: Sequence[Vertex]) -> dict[int, bool]
     return flags
 
 
-def _relaxation_redundancy(poly: HPolytope, budget: int) -> dict[int, bool]:
-    """Redundancy flags from re-enumerating each relaxation.
-
-    Index i is redundant iff the relaxation obtained by dropping it is
-    bounded and the minimum of ``<a_i, x> + b_i`` over its vertices is >= 0;
-    an unbounded relaxation of a bounded polytope always escapes through
-    inequality i.
-    """
-    relations = _relation_rows(poly)
-    result: dict[int, bool] = {}
-    for i in range(poly.n):
-        relaxed = poly.drop(i)
-        # dropping normal i loses rank exactly when no relation involves it
-        if poly.dim > 0 and not any(row[i] for row in relations):
-            if not _reduced_feasible(relaxed, budget):
-                result[i] = True
-            continue
-        rows = _integer_rows(relaxed)
-        a_i, b_i = poly.normals[i], poly.offsets[i]
-        minimum = None
-        feasible = False
-        for point, _ in _vertex_candidates(rows, relaxed.dim, budget, "redundancy relaxation"):
-            feasible = True
-            value = linalg.dot(a_i, point) + b_i
-            if minimum is None or value < minimum:
-                minimum = value
-            if minimum < 0:
-                break
-        if not feasible:
-            result[i] = True  # both sides empty
-            continue
-        if minimum < 0:
-            continue
-        if not is_bounded(relaxed, budget):
-            continue
-        result[i] = minimum > 0
-    return result
-
-
 def redundancy(
     poly: HPolytope,
     budget: int = DEFAULT_SUBSET_BUDGET,
@@ -569,8 +483,12 @@ def redundancy(
     never tight on the intersection of the others.  Exact.  ``vertex_set``
     is the presentation's ``enumerate_vertices`` result, enumerated here when
     not given.  A bounded, nonempty, full-dimensional polytope is decided on
-    its vertex-facet incidence; an empty one, or one with an index tight at
-    every vertex, by relaxing each index in turn.
+    its vertex-facet incidence.  Otherwise (an empty polytope, or an index
+    tight at every vertex) each index i is one LP over the slack vectors
+    ``Gamma s = Gamma b``: i is redundant iff the minimum of s_i subject to
+    ``s_j >= 0`` for j != i is >= 0, and strict iff it is > 0.  With no such
+    s the set stays empty without i (strict); with s_i unbounded below, i is
+    not redundant.
     """
     if vertex_set is None:
         vertex_set = enumerate_vertices(poly, budget)
@@ -580,7 +498,18 @@ def redundancy(
         flags = _incidence_redundancy(poly.n, vertex_set.vertices)
         if flags is not None:
             return flags
-    return _relaxation_redundancy(poly, budget)
+    rhs = _slack_system(poly, vertex_set.relations)[2]
+    flags = {}
+    for i in range(poly.n):
+        # s_i is free: it is split as y_i - y_n
+        rows = [[*row, -row[i]] for row in vertex_set.relations]
+        cost = [int(j == i) for j in range(poly.n)] + [-1]
+        minimum = _simplex("redundancy LP (bases)", budget, rows, rhs, cost)
+        if minimum == "infeasible":
+            flags[i] = True
+        elif minimum != "unbounded" and minimum >= 0:
+            flags[i] = minimum > 0
+    return flags
 
 
 def structure_report(

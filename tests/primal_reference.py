@@ -95,6 +95,14 @@ def inverse(rows):
     return [row[n:] for row in a] if len(pivots) == n else None
 
 
+def drop(poly: HPolytope, index: int) -> HPolytope:
+    """The relaxation without inequality ``index``."""
+    keep = [i for i in range(poly.n) if i != index]
+    return HPolytope(
+        poly.dim, tuple(poly.normals[i] for i in keep), tuple(poly.offsets[i] for i in keep)
+    )
+
+
 def _integer_rows(poly):
     return [
         (tuple(x * b.denominator for x in a), b.numerator)
@@ -178,11 +186,13 @@ def redundancy(poly: HPolytope) -> dict[int, bool]:
     """``{index: strict}`` by re-enumerating every relaxation; raises ValueError if unbounded."""
     if not is_bounded(poly) and not enumerate_vertices(poly)["empty"]:
         raise ValueError("redundancy analysis requires a bounded polytope")
-    relations = _relations(poly)
     result = {}
     for i in range(poly.n):
-        relaxed = poly.drop(i)
-        if poly.dim > 0 and not any(row[i] for row in relations):
+        relaxed = drop(poly, i)
+        # a rank-deficient relaxation has no vertices; its feasibility is
+        # decided in quotient coordinates.  When nonempty it differs from the
+        # set, which is empty or bounded while the relaxation has a line.
+        if rank([list(a) for a in relaxed.normals]) < relaxed.dim:
             if not _reduced_feasible(relaxed):
                 result[i] = True
             continue

@@ -26,7 +26,7 @@ def analyze(poly):
     q = polytope_to_quadrics(poly)
     deck = deck_data(q)
     strict = sorted(i for i, s in redundancy(poly).items() if s)
-    loops = loop_lattice(deck, q, strict)
+    loops = loop_lattice(deck, strict)
     return q, deck, loops, maslov_area_report(deck, q, loops)
 
 
@@ -60,7 +60,7 @@ class TestLoopLattice:
     def test_no_redundancy_gives_full_dual(self):
         q = polytope_to_quadrics(product_simplices(4, 10, 2))
         deck = deck_data(q)
-        loops = loop_lattice(deck, q, [])
+        loops = loop_lattice(deck, [])
         assert loops.basis == ((1, 0), (0, 1))
         assert loops.index_in_dual == 1
 
@@ -68,7 +68,7 @@ class TestLoopLattice:
         q = polytope_to_quadrics(redundant_simplex(5, 2))
         deck = deck_data(q)
         assert q.column(4) == (0, 1)
-        loops = loop_lattice(deck, q, [4])
+        loops = loop_lattice(deck, [4])
         assert loops.basis == ((1, 0), (0, 2))
         assert loops.index_in_dual == 2
 
@@ -79,7 +79,7 @@ class TestLoopLattice:
             (Fraction(3), Fraction(3)),
         )
         deck = deck_data(q)
-        loops = loop_lattice(deck, q, [3, 4])
+        loops = loop_lattice(deck, [3, 4])
         assert loops.basis == ((2, 0), (0, 2))
         assert loops.index_in_dual == 4
         assert loops.index_in_dual == linalg.snf_index(
@@ -122,7 +122,7 @@ class TestMaslovAreaReport:
     def test_circle(self):
         q = circle_system()
         deck = deck_data(q)
-        loops = loop_lattice(deck, q, [])
+        loops = loop_lattice(deck, [])
         report = maslov_area_report(deck, q, loops)
         assert report.t_vector == (2,)
         assert report.minimal_maslov == 2
@@ -131,7 +131,7 @@ class TestMaslovAreaReport:
     def test_zero_maslov_with_area_is_not_monotone(self):
         q = QuadricSystem(((1, -1),), (Fraction(1),))
         deck = deck_data(q)
-        loops = loop_lattice(deck, q, [])
+        loops = loop_lattice(deck, [])
         report = maslov_area_report(deck, q, loops)
         assert report.t_vector == (0,)
         assert report.maslov_values == (0,)
@@ -162,7 +162,7 @@ class TestMaslovAreaReport:
         q = polytope_to_quadrics(poly)
         deck = deck_data(q)
         strict = sorted(i for i, s in redundancy(poly).items() if s)
-        base = maslov_area_report(deck, q, loop_lattice(deck, q, strict))
+        base = maslov_area_report(deck, q, loop_lattice(deck, strict))
         for _ in range(8):
             u = _random_unimodular(rng, q.m)
             gamma = tuple(
@@ -174,7 +174,7 @@ class TestMaslovAreaReport:
             )
             mixed = QuadricSystem(gamma, delta)
             deck2 = deck_data(mixed)
-            report = maslov_area_report(deck2, mixed, loop_lattice(deck2, mixed, strict))
+            report = maslov_area_report(deck2, mixed, loop_lattice(deck2, strict))
             assert report.minimal_maslov == base.minimal_maslov
             assert report.monotone == base.monotone
             assert report.monotonicity_coeff == base.monotonicity_coeff
@@ -260,7 +260,7 @@ class TestLoopParityInvariant:
             q = polytope_to_quadrics(poly)
             deck = deck_data(q)
             strict = sorted(i for i, s in redundancy(poly).items() if s)
-            loops = loop_lattice(deck, q, strict)
+            loops = loop_lattice(deck, strict)
             for coords in loops.basis:
                 vector = [
                     sum(
@@ -316,7 +316,7 @@ class TestLoopIndexBruteForce:
             ]
             assert all(type(x) is int for row in deck.pairings for x in row)
             strict = sorted(rng.sample(range(n), rng.randint(0, min(2, n))))
-            loops = loop_lattice(deck, q, strict)
+            loops = loop_lattice(deck, strict)
             count = 0
             for bits in iproduct((0, 1), repeat=deck.rank):
                 vector = [

@@ -188,9 +188,7 @@ class TestDualLattice:
             while basis is None or linalg.det(basis) == 0:
                 basis = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
             double_dual = linalg.dual_lattice(linalg.dual_lattice(basis))
-            assert double_dual == linalg.canonical_rational_basis(
-                [[Fraction(x) for x in row] for row in basis]
-            )
+            assert double_dual == linalg.row_basis(basis)
 
     def test_rejects_singular(self):
         with pytest.raises(linalg.LinearAlgebraError):
@@ -442,3 +440,97 @@ class TestKernelAgainstReference:
                 break
             expected.append(solution[0])
         assert linalg.solve_in_span(basis, targets) == expected
+
+
+def _standard_form(rng):
+    """A random ``rows @ y == rhs, y >= 0`` with a cost and free columns.
+
+    The right-hand side is the image of a sparse y >= 0 (degenerate bases)
+    or arbitrary (often infeasible); one row may repeat another's sum.
+    Returns the data with each free column split into ``y+`` and ``-y-``,
+    and the number of free columns at the end.
+    """
+    m, n = rng.randint(1, 4), rng.randint(1, 6)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.25:
+        rows.append([a + b for a, b in zip(rows[0], rows[-1])])
+    if rng.random() < 0.6:
+        rhs = linalg.mat_vec(rows, [rng.choice([0, 0, 1, 2]) for _ in range(n)])
+    else:
+        rhs = [rng.randint(-3, 3) for _ in rows]
+    cost = [rng.randint(-3, 3) for _ in range(n)]
+    free = rng.sample(range(n), rng.randint(0, min(2, n)))
+    rows = [[*row, *(-row[j] for j in free)] for row in rows]
+    return rows, rhs, [*cost, *(-cost[j] for j in free)], len(free)
+
+
+class TestSimplex:
+    def test_against_highs(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(41)
+        seen = {"infeasible": 0, "unbounded": 0, "minimum": 0, "free": 0}
+        for _ in range(400):
+            rows, rhs, cost, free = _standard_form(rng)
+            for objective in (cost, None):
+                got = linalg.simplex(rows, rhs, objective)
+                n = len(rows[0])
+                result = optimize.linprog(
+                    objective or [0] * n,
+                    A_eq=rows,
+                    b_eq=rhs,
+                    bounds=[(0, None)] * n,
+                    method="highs",
+                )
+                if result.status == 2:
+                    assert got == "infeasible", (rows, rhs, objective)
+                elif result.status == 3:
+                    assert got == "unbounded", (rows, rhs, objective)
+                else:
+                    assert result.status == 0
+                    assert type(got) is Fraction
+                    assert abs(float(got) - result.fun) < 1e-7, (rows, rhs, objective)
+                    key = "minimum" if objective else "feasible"
+                    seen[key] = seen.get(key, 0) + 1
+                    seen["free"] += bool(free and objective)
+                    continue
+                seen[got] += 1
+        assert min(seen.values()) >= 40, seen
+
+    def test_exact_fractional_minimum(self):
+        # 3 y0 + 2 y1 = 1: the least -y0 is at y0 = 1/3
+        assert linalg.simplex([[3, 2]], [1], [-1, 0]) == Fraction(-1, 3)
+
+    def test_no_rows(self):
+        assert linalg.simplex([], [], [2, 0]) == 0
+        assert linalg.simplex([], [], [2, -1]) == "unbounded"
+
+    def test_redundant_equation_keeps_an_artificial_basic(self):
+        # the second row is twice the first; its artificial variable stays
+        # basic at zero and the minimum is still found
+        assert linalg.simplex([[1, 1], [2, 2]], [2, 4], [1, 3]) == 2
+
+    def test_budget(self):
+        # Bland's rule walks y0, y1, y2 in turn after the artificial start
+        with pytest.raises(linalg.PivotBudgetError):
+            linalg.simplex([[1, 1, 1]], [1], [-1, -2, -3], budget=3)
+        assert linalg.simplex([[1, 1, 1]], [1], [-1, -2, -3], budget=4) == -3
+
+    # cycles without Bland's tie-break: every right-hand side is 0, so each
+    # ratio test is a tie between all rows with a positive entry
+    CYCLING = (
+        [[-2, 2, -1, 1, 1, 3, -2], [1, -2, 2, -2, 2, 3, -1], [1, -1, 3, 3, 2, 3, -3]],
+        [0, 0, 0],
+        [3, 2, 0, -1, 3, 0, -3],
+    )
+
+    def test_dropping_the_leaving_tie_break_cycles_into_the_budget(self, monkeypatch):
+        assert linalg.simplex(*self.CYCLING, budget=20) == "unbounded"
+
+        def first_row_on_ties(tableau, m, c, basis):
+            rows = [r for r in range(m) if tableau[r][c] > 0]
+            return min(rows, key=lambda r: Fraction(tableau[r][-1], tableau[r][c]), default=None)
+
+        monkeypatch.setattr(linalg, "_leaving_row", first_row_on_ties)
+        # 10 columns in 3 rows have at most C(10, 3) = 120 bases
+        with pytest.raises(linalg.PivotBudgetError):
+            linalg.simplex(*self.CYCLING, budget=1000)

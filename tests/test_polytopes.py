@@ -82,6 +82,11 @@ def product_simplices(p, n, k):
     return HPolytope(dim, tuple(normals), (Fraction(1),) * n)
 
 
+def empty_strip():
+    """y <= 2, y <= 1 and y >= 2 in the plane: empty, with rank-1 normals."""
+    return HPolytope(2, ((0, -1), (0, -2), (0, 1)), (Fraction(2), Fraction(2), Fraction(-2)))
+
+
 def redundant_simplex(n, k):
     dim = n - 2
     normals = []
@@ -204,11 +209,12 @@ class TestVertexEnumeration:
         [
             (lambda: enumerate_vertices(product_simplices(4, 10, 0), budget=3), "Gale", 45),
             (lambda: enumerate_vertices(unit_square(), budget=3), "k-subsets", 6),
-            (lambda: is_bounded(unit_square(), budget=3), "positive-relation", 6),
+            (lambda: is_bounded(redundant_simplex(5, 2), budget=3), "boundedness", 4),
+            (lambda: redundancy(empty_strip(), budget=3), "redundancy", 4),
         ],
     )
     def test_budget_error_names_count_budget_and_stage(self, search, stage, requested):
-        message = f"{stage}.*: {requested} subsets exceed the budget of 3"
+        message = f"{stage}.*: {requested} is over the budget of 3"
         with pytest.raises(SubsetBudgetError, match=message) as info:
             search()
         assert (info.value.requested, info.value.budget) == (requested, 3)
@@ -357,6 +363,11 @@ class TestRedundancy:
         with pytest.raises(PolytopeError):
             redundancy(HPolytope(1, ((1,),), (Fraction(0),)))
 
+    def test_empty_rank_deficient(self):
+        # dropping y <= 2 leaves the empty set empty; dropping y <= 1 leaves
+        # the line y = 2, and dropping y >= 2 the half-plane y <= 1
+        assert redundancy(empty_strip()) == {0: True}
+
 
 class TestBounded:
     def test_square(self):
@@ -402,6 +413,17 @@ class TestStructureReport:
         other = structure_report(moved)
         assert base.fano_constant == other.fano_constant == 1
         assert tuple(other.fano_translation) == tuple(Fraction(s) for s in shift)
+
+    def test_dimension_zero(self):
+        # the relations are Z^n; an empty normal is not primitive (gcd 0),
+        # so only the presentation with no inequalities is Fano
+        assert is_fano(HPolytope(0, (), ())) == (True, 1, ())
+        twice = HPolytope(0, ((), ()), (Fraction(2), Fraction(2)))
+        assert is_fano(twice) == (False, None, None)
+        report = structure_report(HPolytope(0, ((), ()), (Fraction(0), Fraction(1))))
+        assert report.bounded and not report.empty and not report.simple
+        assert (report.redundant, report.strict_redundant) == ((0, 1), (1,))
+        assert enumerate_vertices(HPolytope(0, ((),), (Fraction(-1),))).empty
 
 
 class TestDelzantIndexAgreement:

@@ -85,6 +85,19 @@ def presentations(draw):
     return HPolytope(k, tuple(normals[i] for i in order), tuple(offsets[i] for i in order))
 
 
+@st.composite
+def rank_deficient_presentations(draw):
+    """Normals ``(a, 0, ..., 0)`` of rank r < k under the unimodular shear
+    ``x_k += x_1``, with random offsets: empty sets (redundancy is then
+    decided by LP) and unbounded ones (redundancy is rejected)."""
+    k = draw(st.integers(2, 4))
+    r = draw(st.integers(1, k - 1))
+    normal = st.lists(small, min_size=r, max_size=r).filter(any)
+    normals = [a + [0] * (k - r - 1) + [a[0]] for a in draw(st.lists(normal, max_size=6))]
+    offsets = draw(st.lists(offset, min_size=len(normals), max_size=len(normals)))
+    return HPolytope(k, tuple(map(tuple, normals)), tuple(offsets))
+
+
 def assert_matches_reference(poly):
     vs = enumerate_vertices(poly)
     expected = ref.enumerate_vertices(poly)
@@ -145,6 +158,12 @@ class TestAgainstPrimalReference:
         k, normals = shape
         offsets = data.draw(st.lists(offset, min_size=len(normals), max_size=len(normals)))
         assert_matches_reference(HPolytope(k, tuple(map(tuple, normals)), tuple(offsets)))
+
+    @SETTINGS
+    @given(rank_deficient_presentations())
+    def test_rank_deficient_presentations(self, poly):
+        assert not enumerate_vertices(poly).pointed
+        assert_matches_reference(poly)
 
     def test_both_sides_are_exercised(self):
         # a simplex with two cuts has m = 3 < k = 5; a box with one cut has m = 6 > k

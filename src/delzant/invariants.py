@@ -104,9 +104,17 @@ def deck_data(system: QuadricSystem) -> DeckData:
     )
 
 
-def delta_pairings(deck: DeckData, system: QuadricSystem) -> list[Fraction]:
-    """``<eps_p, delta>`` for each dual basis vector; areas are read from these."""
-    return [Fraction(linalg.dot(eps, system.delta)) for eps in deck.dual_basis]
+def delta_pairings(deck: DeckData, system: QuadricSystem) -> tuple[list[int], int]:
+    """``<eps_p, delta>`` for each dual basis vector, as integer numerators over
+    one denominator ``(N, den)``, not reduced; areas are read from these."""
+    dual_scale = math.lcm(*(x.denominator for row in deck.dual_basis for x in row))
+    delta_scale = math.lcm(*(x.denominator for x in system.delta))
+    delta = [x.numerator * (delta_scale // x.denominator) for x in system.delta]
+    numerators = [
+        linalg.dot([x.numerator * (dual_scale // x.denominator) for x in eps], delta)
+        for eps in deck.dual_basis
+    ]
+    return numerators, dual_scale * delta_scale
 
 
 def loop_lattice(deck: DeckData, strict_redundant: Iterable[int]) -> LoopLattice:
@@ -172,9 +180,9 @@ def maslov_area_report(
     """
     t = t_vector(system)
     generator_maslov = [sum(row) for row in deck.pairings]
-    generator_areas = [value / 2 for value in delta_pairings(deck, system)]
+    pairings, den = delta_pairings(deck, system)
     maslov = [linalg.dot(coords, generator_maslov) for coords in loops.basis]
-    areas = [Fraction(linalg.dot(coords, generator_areas)) for coords in loops.basis]
+    areas = [Fraction(linalg.dot(coords, pairings), 2 * den) for coords in loops.basis]
     minimal = linalg.gcd_over_basis(maslov)
     coeff: Fraction | None = None
     monotone = True

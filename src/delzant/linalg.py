@@ -344,15 +344,19 @@ def rational_rank(matrix: Matrix) -> int:
     return len(_bareiss(rows, len(rows[0]) if rows else 0)[0])
 
 
-def solve_square(rows: Matrix, rhs: Sequence) -> list[Fraction] | None:
-    """Unique rational solution of a square linear system, or None if singular."""
+def solve_square(rows: Matrix, rhs: Sequence) -> tuple[list[int], int] | None:
+    """Unique solution of a square linear system as integer numerators over one
+    denominator, or None if singular.
+
+    Returns ``(N, d)`` with ``x == N / d`` and ``d > 0``, not reduced.  For
+    integer rows ``d == |det rows|``, the kernel's last pivot; a rational row
+    is first scaled by its own denominator lcm, which scales ``d`` with it.
+    """
     solved = _solve([_integral([*row, c])[0] for row, c in zip(rows, rhs)], len(rows))
     if solved is None:
         return None
     numerators, den = solved
-    if den == 1:  # the common unimodular case; Fraction(int) skips the gcd
-        return [Fraction(x) for x, in numerators]
-    return [Fraction(x, den) for x, in numerators]
+    return [x for x, in numerators], den
 
 
 def det(rows: Matrix) -> Fraction:

@@ -160,10 +160,10 @@ def _loop_data(system: QuadricSystem, loop: TorusLoop, deck: DeckData) -> _LoopD
         sum(c * row[j] for c, row in zip(loop.coeffs, deck.pairings)) for j in range(system.n)
     ]
     factor = 2 if loop.doubled else 1
-    area = linalg.dot(loop.coeffs, delta_pairings(deck, system)) * factor / 2
-    return _LoopData(
-        np.array(pairings, dtype=float), factor * sum(pairings), float(area) * math.pi
-    )
+    numerators, den = delta_pairings(deck, system)
+    # int / int is correctly rounded, as float(Fraction) is
+    area = linalg.dot(loop.coeffs, numerators) * factor / (2 * den)
+    return _LoopData(np.array(pairings, dtype=float), factor * sum(pairings), area * math.pi)
 
 
 def _check_closure(loop: TorusLoop, pairings: np.ndarray, u: np.ndarray):

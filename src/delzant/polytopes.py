@@ -14,8 +14,15 @@ k <= m, else m-subsets B of the Gale dual ``Gamma s = Gamma b, s >= 0``
 of a rank-deficient system and the redundancy of an index on an empty
 polytope or one with an implicit equality are each one exact LP on
 ``Gamma`` (``linalg.simplex``); otherwise redundancy is read off the
-vertex-facet incidence.  When m < k, a simple vertex's Delzant index is the
-m x m minor ``|det Gamma_B|`` on the complement B of its active set.
+vertex-facet incidence.
+
+The subset loops stay in integers: each basis solve is integer numerators
+over ``d = |det|`` of its basis matrix, and feasibility, deduplication and
+the vertex order are decided on integers; a vertex's point becomes
+Fractions only when it is read.  A simple vertex is reached from exactly
+one basis, so its Delzant index comes from that solve: ``d`` is
+``|det A_S|`` of its active normals on the primal side and the m x m minor
+``|det Gamma_B|`` on the complement B of its active set on the Gale side.
 """
 
 from __future__ import annotations
@@ -83,8 +90,29 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class Vertex:
-    point: tuple[Fraction, ...]
+    """The point ``numerators / den`` (lowest terms, ``den > 0``) and the
+    indices tight at it.
+
+    ``minor`` is the ``d = |det|`` of the basis solve the vertex was first
+    reached from: the active normals ``A_S`` on the primal side, ``Gamma_B``
+    on the complement of the active set on the Gale side.  It is not reduced
+    with the point; a simple vertex has exactly one such basis.
+    """
+
+    numerators: tuple[int, ...]
+    den: int
     active: tuple[int, ...]
+    minor: int
+
+    @property
+    def point(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.numerators)
+
+
+def _vertex(numerators, den: int, active, minor: int) -> Vertex:
+    """A ``Vertex`` with ``numerators / den`` brought to lowest terms."""
+    g = math.gcd(den, *numerators)
+    return Vertex(tuple(x // g for x in numerators), den // g, tuple(active), minor)
 
 
 @dataclass(frozen=True)
@@ -92,8 +120,9 @@ class VertexSet:
     """The vertices of a presentation and the relation rows they were found with.
 
     ``relations`` is the saturated basis ``Gamma`` of the integer relations
-    among the normals that the enumeration used; ``is_delzant`` reads vertex
-    indices off its minors when it has fewer rows than the dimension.
+    among the normals that the enumeration used; with fewer rows than the
+    dimension the enumeration ran on the Gale side, and each vertex's
+    ``minor`` is a minor of it.
     """
 
     vertices: tuple[Vertex, ...]
@@ -259,34 +288,37 @@ def is_bounded(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> bool:
 
 
 def _primal_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
-    """Vertices from every k-subset of the inequalities, solved for the point.
+    """Vertices from every k-subset S of the inequalities, solved for the point.
 
-    Rows (g_i, e_i) clear the offset denominators; x = nums / den is checked
-    on ``den * (<g_i, x> + e_i) >= 0``.
+    With e the offsets scaled by their common denominator, ``A_S y = -e_S``
+    gives the scaled point ``y = N / d`` with ``d = |det A_S|``; it is
+    feasible when ``<a_i, N> + d * e_i >= 0`` for every i.
     """
-    rows = [
-        (tuple(x * b.denominator for x in a), b.numerator)
-        for a, b in zip(poly.normals, poly.offsets)
-    ]
+    scale, offsets, _ = _slack_system(poly, ())
     _check_budget("vertex enumeration (k-subsets)", poly.n, poly.dim, budget)
     seen = set()
     vertices = []
     for subset in combinations(range(poly.n), poly.dim):
-        sol = linalg.solve_square([rows[i][0] for i in subset], [-rows[i][1] for i in subset])
-        if sol is None or tuple(sol) in seen:
+        solved = linalg.solve_square(
+            [poly.normals[i] for i in subset], [-offsets[i] for i in subset]
+        )
+        if solved is None:
             continue
-        seen.add(tuple(sol))
-        den = math.lcm(*(f.denominator for f in sol)) if sol else 1
-        nums = [int(f * den) for f in sol]
+        nums, d = solved
+        g = math.gcd(d, *nums)
+        key = (*(x // g for x in nums), d // g)
+        if key in seen:
+            continue
+        seen.add(key)
         active = []
-        for i, (grow, e) in enumerate(rows):
-            value = sum(g * x for g, x in zip(grow, nums) if g) + e * den
+        for i, (a, e) in enumerate(zip(poly.normals, offsets)):
+            value = sum(x * y for x, y in zip(a, nums) if x) + e * d
             if value < 0:
                 break
             if not value:
                 active.append(i)
         else:
-            vertices.append(Vertex(tuple(sol), tuple(active)))
+            vertices.append(_vertex(nums, d * scale, active, d))
     return vertices
 
 
@@ -294,12 +326,14 @@ def _gale_vertices(poly: HPolytope, relations, budget: int) -> list[Vertex]:
     """Vertices from the basic feasible slack vectors of ``Gamma s = Gamma b, s >= 0``.
 
     Each m-subset B with ``Gamma_B`` nonsingular gives ``s_B = Gamma_B^-1 Gamma b``
-    and ``s = 0`` off B; it is a vertex when ``s_B >= 0``, and a degenerate
-    vertex is reached from several B, so slack vectors are deduplicated.  The
-    slacks are scaled by the common offset denominator so the right-hand side
-    is integral.  The point is ``x = A_T^-T (s_T - b_T)`` for the complement T
+    as numerators over ``d = |det Gamma_B|`` and ``s = 0`` off B; it is a
+    vertex when the numerators are ``>= 0``, and a degenerate vertex is
+    reached from several B, so slack vectors are deduplicated.  The slacks
+    are scaled by the common offset denominator so the right-hand side is
+    integral.  The point is ``x = A_T^-1 (s_T - b_T)`` for the complement T
     of the first feasible basis, whose inverse is computed once as integer
-    numerators over one denominator.
+    numerators over one denominator; as s has at most m nonzero entries,
+    each point is ``A_T^-1 b_T`` plus at most m columns of the inverse.
     """
     n, m = poly.n, len(relations)
     _check_budget("vertex enumeration (Gale m-subsets)", n, m, budget)
@@ -307,13 +341,18 @@ def _gale_vertices(poly: HPolytope, relations, budget: int) -> list[Vertex]:
     cols = [tuple(row[j] for row in relations) for j in range(n)]
     seen = set()
     vertices = []
-    recovery = None  # (T, sparse numerator rows of A_T^-T, denominator)
+    recovery = None  # ({i in T: numerator column of A_T^-1}, numerators of A_T^-1 b_T, den)
     for subset in combinations(range(n), m):
-        sol = linalg.solve_square(list(zip(*(cols[j] for j in subset))), rhs)
-        if sol is None or any(x < 0 for x in sol):
+        solved = linalg.solve_square(list(zip(*(cols[j] for j in subset))), rhs)
+        if solved is None:
             continue
-        slack = {j: x for j, x in zip(subset, sol) if x}
-        key = tuple(slack.items())
+        nums, d = solved
+        if any(x < 0 for x in nums):
+            continue
+        g = math.gcd(d, *nums)
+        slack = {j: x // g for j, x in zip(subset, nums) if x}
+        q = d // g
+        key = (*slack.items(), q)
         if key in seen:
             continue
         seen.add(key)
@@ -321,14 +360,15 @@ def _gale_vertices(poly: HPolytope, relations, budget: int) -> list[Vertex]:
             chosen = set(subset)
             tight = [i for i in range(n) if i not in chosen]
             numerators, den = linalg.inverse([poly.normals[i] for i in tight])
-            rows = [[(p, c) for p, c in enumerate(row) if c] for row in numerators]
-            recovery = tight, rows, scale * den
-        tight, rows, den = recovery
-        q = math.lcm(*(x.denominator for x in slack.values()))
-        w = [int(slack.get(i, 0) * q) - offsets[i] * q for i in tight]
-        point = tuple(Fraction(sum(c * w[p] for p, c in row), den * q) for row in rows)
-        active = tuple(i for i in range(n) if i not in slack)
-        vertices.append(Vertex(point, active))
+            base = linalg.mat_vec(numerators, [offsets[i] for i in tight])
+            recovery = dict(zip(tight, zip(*numerators))), base, scale * den
+        columns, base, den = recovery
+        point = [-q * x for x in base]
+        for j, x in slack.items():
+            if j in columns:
+                point = [y + x * c for y, c in zip(point, columns[j])]
+        active = [i for i in range(n) if i not in slack]
+        vertices.append(_vertex(point, den * q, active, d))
     return vertices
 
 
@@ -360,7 +400,8 @@ def enumerate_vertices(
         vertices = _primal_vertices(poly, budget)
     if not vertices:
         return VertexSet((), True, True, True, relations)
-    vertices.sort(key=lambda v: v.point)
+    common = math.lcm(*(v.den for v in vertices))
+    vertices.sort(key=lambda v: [x * (common // v.den) for x in v.numerators])
     bounded = _bounded(relations, n, budget)
     return VertexSet(tuple(vertices), bounded, False, True, relations)
 
@@ -368,18 +409,6 @@ def enumerate_vertices(
 def is_simple(vertex_set: VertexSet, dim: int) -> bool:
     """Exactly ``dim`` inequalities tight at every vertex."""
     return all(len(v.active) == dim for v in vertex_set.vertices)
-
-
-def _gale_minor(poly: HPolytope, relations, active: Sequence[int]) -> Fraction:
-    """``|det Gamma_B|`` on the complement B of an active set of size k.
-
-    For a saturated ``Gamma``, ``|det A_active| = L * |det Gamma_B|`` with L
-    the index of the normal lattice in Z^k, so this is the index of the
-    active normals in the normal lattice.
-    """
-    tight = set(active)
-    complement = [j for j in range(poly.n) if j not in tight]
-    return abs(linalg.det([[row[j] for j in complement] for row in relations]))
 
 
 def normal_lattice_basis(poly: HPolytope) -> list[list[int]]:
@@ -395,21 +424,19 @@ def is_delzant(poly: HPolytope, vertex_set: VertexSet) -> bool:
     """At every vertex the active normals are a basis of the normal lattice.
 
     Requires a simple presentation.  The index of the active sublattice is
-    ``|det Gamma_B|`` on the inactive set B when m < k, and
+    read off each vertex's ``minor``: it is ``|det Gamma_B|`` on the inactive
+    set B when m < k (for a saturated ``Gamma``), and
     ``|det(active normals)| / |det(lattice basis)|`` otherwise.
     """
     if not is_simple(vertex_set, poly.dim):
         raise PolytopeError("Delzant test requires a simple presentation")
     if vertex_set.pointed and len(vertex_set.relations) < poly.dim:
-        return all(
-            _gale_minor(poly, vertex_set.relations, v.active) == 1
-            for v in vertex_set.vertices
-        )
+        return all(v.minor == 1 for v in vertex_set.vertices)
     basis = normal_lattice_basis(poly)
-    lattice_det = abs(linalg.det(basis))
+    # the k x k HNF basis is upper triangular, with its positive pivots on the diagonal
+    lattice_det = math.prod(basis[i][i] for i in range(poly.dim))
     for v in vertex_set.vertices:
-        active_det = abs(linalg.det([list(poly.normals[i]) for i in v.active]))
-        index, rem = divmod(active_det, lattice_det)
+        index, rem = divmod(v.minor, lattice_det)
         if rem:
             raise LatticeRankError("active normals leave the normal lattice")
         if index != 1:
@@ -437,11 +464,12 @@ def is_fano(poly: HPolytope, relations: Sequence[Sequence[int]] | None = None):
     if relations is None:
         relations = _relation_rows(poly)
     ones = [sum(row) for row in relations]
-    values = [linalg.dot(row, poly.offsets) for row in relations]
-    r = next((r for r, x in enumerate(ones) if x), None)
-    constant = Fraction(1) if r is None else values[r] / ones[r]
-    if constant <= 0 or any(v != constant * x for v, x in zip(values, ones)):
+    scale, _, values = _slack_system(poly, relations)  # values = scale * Gamma b
+    # C = p / q off the first row with a nonzero Gamma 1, compared by cross-multiplying
+    p, q = next(((v, scale * x) for v, x in zip(values, ones) if x), (1, 1))
+    if p * q <= 0 or any(v * q != p * scale * x for v, x in zip(values, ones)):
         return False, None, None
+    constant = Fraction(p, q)
     target = [b - constant for b in poly.offsets]
     translation = linalg.solve_affine([list(a) for a in poly.normals], target)[0]
     return True, constant, tuple(translation)

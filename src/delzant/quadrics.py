@@ -24,6 +24,8 @@ from . import linalg
 from .polytopes import (
     HPolytope,
     PolytopeFormatError,
+    _relation_rows,
+    _slack_system,
     enumerate_vertices,
     format_rational,
     is_simple,
@@ -90,22 +92,19 @@ def slack_ordered_hnf(rows, transform: bool = False):
 def polytope_to_quadrics(poly: HPolytope) -> QuadricSystem:
     """The canonical quadric system of a presentation.
 
-    Requires the normals to span R^k; the kernel rows are saturated, so
-    every integer relation among the normals is an integer combination of
-    the returned rows.
+    Requires the normals to span R^k, i.e. n - k relation rows; the kernel
+    rows are saturated, so every integer relation among the normals is an
+    integer combination of the returned rows.  ``delta`` is read off the
+    integer ``Gamma (scale * b)`` with one Fraction per row.
     """
-    matrix = poly.matrix()
-    if poly.dim > 0 and linalg.rational_rank(matrix) < poly.dim:
+    kernel = _relation_rows(poly)
+    if len(kernel) != poly.n - poly.dim:
         raise QuadricError(
             "normals do not span the ambient space (rank-deficient presentation)"
         )
-    kernel = linalg.integer_kernel(matrix) if poly.dim > 0 else linalg.identity(poly.n)
-    canonical = [r for r in slack_ordered_hnf(kernel) if any(r)]
-    gamma = tuple(tuple(r) for r in canonical)
-    delta = tuple(
-        sum((g * b for g, b in zip(row, poly.offsets)), Fraction(0)) for row in gamma
-    )
-    return QuadricSystem(gamma, delta)
+    gamma = tuple(tuple(r) for r in slack_ordered_hnf(kernel) if any(r))
+    scale, _, values = _slack_system(poly, gamma)
+    return QuadricSystem(gamma, tuple(Fraction(v, scale) for v in values))
 
 
 def quadrics_to_polytope(system: QuadricSystem) -> HPolytope:

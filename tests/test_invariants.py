@@ -7,6 +7,7 @@ from delzant import linalg
 from delzant.invariants import (
     InvariantError,
     deck_data,
+    delta_pairings,
     doubled_loop_lattice,
     fano_monotone_crosscheck,
     loop_lattice,
@@ -329,3 +330,32 @@ class TestLoopIndexBruteForce:
                 if all(int(linalg.dot(vector, q.column(s))) % 2 == 0 for s in strict):
                     count += 1
             assert loops.index_in_dual == 2 ** deck.rank // count
+
+
+class TestIntegerAreaPairings:
+    def test_delta_pairings_and_areas_match_fraction_dot_products(self):
+        # integer numerators over one denominator against Fraction dot
+        # products, on random full-rank Gamma with rational delta
+        rng = random.Random(41)
+        checked = 0
+        for _ in range(40):
+            d = rng.choice([1, 2, 3])
+            n = d + rng.randint(1, 3)
+            gamma = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(d))
+            delta = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d))
+            q = QuadricSystem(gamma, delta)
+            try:
+                deck = deck_data(q)
+            except InvariantError:
+                continue
+            numerators, den = delta_pairings(deck, q)
+            assert all(type(x) is int for x in numerators) and den > 0
+            expected = [linalg.dot(eps, delta) for eps in deck.dual_basis]
+            assert [Fraction(x, den) for x in numerators] == expected
+            loops = loop_lattice(deck, sorted(rng.sample(range(n), rng.randint(0, 1))))
+            report = maslov_area_report(deck, q, loops)
+            assert report.area_coeffs == tuple(
+                linalg.dot(coords, expected) / 2 for coords in loops.basis
+            )
+            checked += 1
+        assert checked >= 20

@@ -211,8 +211,8 @@ class TestGcd:
 
 class TestSolvers:
     def test_solve_square_unique(self):
-        sol = linalg.solve_square([[2, 1], [1, -1]], [5, 1])
-        assert sol == [Fraction(2), Fraction(1)]
+        # x = (2, 1) as numerators over d = |det| = 3, not reduced
+        assert linalg.solve_square([[2, 1], [1, -1]], [5, 1]) == ([6, 3], 3)
 
     def test_solve_square_singular(self):
         assert linalg.solve_square([[1, 1], [2, 2]], [1, 2]) is None
@@ -243,7 +243,8 @@ class TestSolvers:
         # the same columns solve_square finds
         for j in range(d):
             column = [Fraction(row[j], den) for row in numerators]
-            assert column == linalg.solve_square(m, [int(i == j) for i in range(d)])
+            solved, det = linalg.solve_square(m, [int(i == j) for i in range(d)])
+            assert column == [Fraction(x, det) for x in solved]
 
     def test_inverse_rejects_singular(self):
         with pytest.raises(linalg.LinearAlgebraError):
@@ -348,10 +349,19 @@ class TestKernelAgainstReference:
     def test_solve_square(self, case):
         rows, rhs = case
         rhs = rhs[: len(rows)]
-        solution = linalg.solve_square(rows, rhs)
-        assert solution == ref.solve_square(rows, rhs)
-        if solution is not None:
-            assert all(type(x) is Fraction for x in solution)
+        solved = linalg.solve_square(rows, rhs)
+        expected = ref.solve_square(rows, rhs)
+        if expected is None:
+            assert solved is None
+            return
+        numerators, d = solved
+        assert all(type(x) is int for x in numerators)
+        assert [Fraction(x, d) for x in numerators] == expected
+        # d is |det| of the system, each equation scaled by its denominators' lcm
+        scales = [
+            math.lcm(*(Fraction(x).denominator for x in (*row, c))) for row, c in zip(rows, rhs)
+        ]
+        assert d == abs(ref.det(rows)) * math.prod(scales)
 
     @KERNEL_SETTINGS
     @given(ENTRIES.flatmap(_square))

@@ -75,6 +75,18 @@ class TestForward:
         with pytest.raises(QuadricError, match="rank"):
             polytope_to_quadrics(strip)
 
+    def test_dimension_zero_and_no_normals_follow_the_relation_rows(self):
+        # k = 0: every slack is free, so Gamma is the identity
+        point = HPolytope(0, ((), ()), (Fraction(2), Fraction(1, 2)))
+        q = polytope_to_quadrics(point)
+        assert q.gamma == ((1, 0), (0, 1))
+        assert q.delta == (Fraction(2), Fraction(1, 2))
+        # k = 1 with no inequalities has no n - k = -1 relation rows
+        message = "normals do not span the ambient space (rank-deficient presentation)"
+        with pytest.raises(QuadricError) as info:
+            polytope_to_quadrics(HPolytope(1, (), ()))
+        assert str(info.value) == message
+
     def test_delta_can_be_rational(self):
         poly = HPolytope(1, ((1,), (-1,)), (Fraction(1, 3), Fraction(1, 2)))
         q = polytope_to_quadrics(poly)

@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -98,10 +99,42 @@ def rank_deficient_presentations(draw):
     return HPolytope(k, tuple(map(tuple, normals)), tuple(offsets))
 
 
+@st.composite
+def non_unimodular_presentations(draw):
+    """A ``presentations()`` polytope in the coordinates ``x = M y`` for a random
+    nonsingular integer M, with its offsets scaled by a positive fraction.
+
+    The normals become ``M^T a``, a sublattice of index ``|det M|``, so the
+    vertices are fractional and their basis determinants exceed 1 on both
+    sides of the enumeration choice; the Delzant verdicts are unchanged.
+    """
+    poly = draw(presentations())
+    k = poly.dim
+    square = st.lists(st.lists(small, min_size=k, max_size=k), min_size=k, max_size=k)
+    m = draw(square.filter(lambda m: ref.det(m) != 0))
+    q = draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3))
+    normals = tuple(tuple(linalg.dot(column, a) for column in zip(*m)) for a in poly.normals)
+    return HPolytope(k, normals, tuple(q * b for b in poly.offsets))
+
+
+def _basis_minor(poly, relations, active):
+    """``|det|`` of the one basis a simple vertex is reached from, by the
+    reference's elimination: ``Gamma_B`` on the complement B of the active
+    set on the Gale side (m < k), the active normals otherwise."""
+    if len(relations) < poly.dim:
+        complement = [j for j in range(poly.n) if j not in active]
+        return abs(ref.det([[row[j] for j in complement] for row in relations]))
+    return abs(ref.det([poly.normals[i] for i in active]))
+
+
 def assert_matches_reference(poly):
     vs = enumerate_vertices(poly)
     expected = ref.enumerate_vertices(poly)
     assert [(v.point, v.active) for v in vs.vertices] == expected["vertices"]
+    for v in vs.vertices:
+        assert v.den > 0 and math.gcd(v.den, *v.numerators) == 1
+        if len(v.active) == poly.dim:
+            assert v.minor == _basis_minor(poly, vs.relations, v.active)
     assert (vs.bounded, vs.empty, vs.pointed) == (
         expected["bounded"],
         expected["empty"],
@@ -158,6 +191,35 @@ class TestAgainstPrimalReference:
         k, normals = shape
         offsets = data.draw(st.lists(offset, min_size=len(normals), max_size=len(normals)))
         assert_matches_reference(HPolytope(k, tuple(map(tuple, normals)), tuple(offsets)))
+
+    @SETTINGS
+    @given(non_unimodular_presentations())
+    def test_non_unimodular_presentations(self, poly):
+        assert_matches_reference(poly)
+
+    @pytest.mark.parametrize(
+        "poly, gale",
+        [
+            # P(1,1,2,1): the vertex (-1, -1, 2) has Gamma_B = (2), and its
+            # slack numerators 4 over d = 2 reduce to 2 over 1
+            (
+                HPolytope(
+                    3,
+                    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)),
+                    (Fraction(1), Fraction(1), Fraction(0), Fraction(2)),
+                ),
+                True,
+            ),
+            # 2x >= 2, x <= 3: the vertex x = 1 solves 2x = 2 over d = 2
+            (HPolytope(1, ((2,), (-1,)), (Fraction(-2), Fraction(3))), False),
+        ],
+    )
+    def test_minor_is_the_basis_determinant_not_the_point_denominator(self, poly, gale):
+        vs = enumerate_vertices(poly)
+        assert (len(vs.relations) < poly.dim) is gale
+        assert any(v.den == 1 and v.minor == 2 for v in vs.vertices)
+        assert is_delzant(poly, vs) is False
+        assert_matches_reference(poly)
 
     @SETTINGS
     @given(rank_deficient_presentations())

@@ -33,7 +33,7 @@ from .quadrics import (
     quadrics_to_polytope,
 )
 from .reproduce import run_suite
-from .spectral import ProfileError, admissible_maslov, parse_profile, run_engine
+from .spectral import ProfileError, admissible_maslov, parse_profile, profile_to_json, run_engine
 
 USER_ERRORS = (
     PolytopeFormatError,
@@ -118,11 +118,7 @@ def cmd_obstruct(args) -> int:
         excluded.append({"n": n, "witness_degree": result.witness_degree})
     _emit(
         {
-            "profile": {
-                "dims": {str(d): v for d, v in profile.dims},
-                "L_dim": profile.l_dim,
-                "orientable": profile.orientable,
-            },
+            "profile": profile_to_json(profile),
             "n_max": n_max,
             "admissible": sorted(admissible),
             "excluded": excluded,

@@ -159,11 +159,8 @@ def _core_rows(system: QuadricSystem, strict_redundant: list[int]):
     redundant = list(strict_redundant)
     others = [j for j in range(system.n) if j not in redundant]
     order = redundant + others
-    scale = math.lcm(*(d.denominator for d in system.delta))
-    rows = [
-        [row[j] for j in order] + [int(d * scale)]
-        for row, d in zip(system.gamma, system.delta)
-    ]
+    delta, scale = linalg.scale_to_integers(system.delta)
+    rows = [[row[j] for j in order] + [d] for row, d in zip(system.gamma, delta)]
     h = linalg.row_basis(rows)
     core = [r for r in h if not any(r[: len(redundant)])]
     if len(core) != system.m - len(redundant):

@@ -14,7 +14,6 @@ from it, and only the areas pair a dual vector with ``delta``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -41,14 +40,22 @@ class InvariantError(ValueError):
 class DeckData:
     """Lattice data of the torus factor: basis of the column lattice and its dual.
 
-    ``pairings[p][j]`` is the integer ``<eps_p, gamma_j>`` of dual basis
-    vector p with column j.
+    The dual basis vector ``eps_p`` is ``dual_numerators[p] / dual_den``, in
+    lowest terms.  ``pairings[p][j]`` is the integer ``<eps_p, gamma_j>`` of
+    dual basis vector p with column j.
     """
 
     rank: int
     lattice_basis: tuple[tuple[int, ...], ...]
-    dual_basis: tuple[tuple[Fraction, ...], ...]
+    dual_numerators: tuple[tuple[int, ...], ...]
+    dual_den: int
     pairings: tuple[tuple[int, ...], ...]
+
+    @property
+    def dual_basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dual basis rows as Fractions, built on demand."""
+        den = self.dual_den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.dual_numerators)
 
     @property
     def deck_order(self) -> int:
@@ -81,7 +88,7 @@ def deck_data(system: QuadricSystem) -> DeckData:
     """Basis of the lattice generated by the coefficient columns, plus its dual."""
     rank = system.m
     if rank == 0:
-        return DeckData(rank=0, lattice_basis=(), dual_basis=(), pairings=())
+        return DeckData(rank=0, lattice_basis=(), dual_numerators=(), dual_den=1, pairings=())
     columns = [list(c) for c in system.columns()]
     basis = linalg.row_basis(columns)
     if len(basis) < rank:
@@ -89,32 +96,24 @@ def deck_data(system: QuadricSystem) -> DeckData:
             "coefficient columns span a rank-deficient lattice; "
             "the torus construction is undefined"
         )
-    dual = linalg.dual_lattice(basis)
-    # the dual rows as integer numerators over one denominator, times Gamma
-    scale = math.lcm(*(x.denominator for row in dual for x in row))
-    numerators = [[int(x * scale) for x in row] for row in dual]
+    numerators, den = linalg.dual_lattice(basis)
     scaled = linalg.mat_mul(numerators, system.gamma)
-    if any(x % scale for row in scaled for x in row):
+    if any(x % den for row in scaled for x in row):
         raise InvariantError("a dual basis vector pairs non-integrally with a lattice column")
     return DeckData(
         rank=rank,
         lattice_basis=tuple(tuple(r) for r in basis),
-        dual_basis=tuple(tuple(r) for r in dual),
-        pairings=tuple(tuple(x // scale for x in row) for row in scaled),
+        dual_numerators=tuple(tuple(r) for r in numerators),
+        dual_den=den,
+        pairings=tuple(tuple(x // den for x in row) for row in scaled),
     )
 
 
 def delta_pairings(deck: DeckData, system: QuadricSystem) -> tuple[list[int], int]:
     """``<eps_p, delta>`` for each dual basis vector, as integer numerators over
     one denominator ``(N, den)``, not reduced; areas are read from these."""
-    dual_scale = math.lcm(*(x.denominator for row in deck.dual_basis for x in row))
-    delta_scale = math.lcm(*(x.denominator for x in system.delta))
-    delta = [x.numerator * (delta_scale // x.denominator) for x in system.delta]
-    numerators = [
-        linalg.dot([x.numerator * (dual_scale // x.denominator) for x in eps], delta)
-        for eps in deck.dual_basis
-    ]
-    return numerators, dual_scale * delta_scale
+    delta, scale = linalg.scale_to_integers(system.delta)
+    return [linalg.dot(eps, delta) for eps in deck.dual_numerators], deck.dual_den * scale
 
 
 def loop_lattice(deck: DeckData, strict_redundant: Iterable[int]) -> LoopLattice:

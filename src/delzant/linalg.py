@@ -188,18 +188,20 @@ def snf_diagonal(matrix: Matrix) -> list[int]:
     return diag
 
 
-def _integral(row) -> tuple[list[int], int]:
-    """``row`` times the lcm of its entries' denominators, and that lcm.
+def scale_to_integers(values) -> tuple[list[int], int]:
+    """``(N, scale)`` with ``values == N / scale``: integer numerators over the
+    lcm of the entries' denominators (a new list, and 1, for all-int input).
 
     Bareiss elimination divides with ``//``, which is exact on integers but
     floors a Fraction, so a rational row is cleared of denominators first;
-    scaling an equation does not change its solutions.
+    scaling an equation does not change its solutions.  This is the one
+    place a rational vector is put over a common denominator.
     """
-    for x in row:
+    for x in values:
         if type(x) is not int:
-            scale = math.lcm(*(Fraction(x).denominator for x in row))
-            return [int(x * scale) for x in row], scale
-    return list(row), 1
+            scale = math.lcm(*(v.denominator for v in values))
+            return [v.numerator * (scale // v.denominator) for v in values], scale
+    return list(values), 1
 
 
 def _bareiss(rows: list[list[int]], width: int) -> tuple[list[int], int]:
@@ -340,7 +342,7 @@ def _solve(rows: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
 
 def rational_rank(matrix: Matrix) -> int:
     """Rank over the rationals."""
-    rows = [_integral(row)[0] for row in matrix]
+    rows = [scale_to_integers(row)[0] for row in matrix]
     return len(_bareiss(rows, len(rows[0]) if rows else 0)[0])
 
 
@@ -352,7 +354,7 @@ def solve_square(rows: Matrix, rhs: Sequence) -> tuple[list[int], int] | None:
     integer rows ``d == |det rows|``, the kernel's last pivot; a rational row
     is first scaled by its own denominator lcm, which scales ``d`` with it.
     """
-    solved = _solve([_integral([*row, c])[0] for row, c in zip(rows, rhs)], len(rows))
+    solved = _solve([scale_to_integers([*row, c])[0] for row, c in zip(rows, rhs)], len(rows))
     if solved is None:
         return None
     numerators, den = solved
@@ -364,7 +366,7 @@ def det(rows: Matrix) -> Fraction:
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    scaled = [_integral(row) for row in rows]
+    scaled = [scale_to_integers(row) for row in rows]
     ints = [row for row, _ in scaled]
     columns, sign = _bareiss(ints, n)
     if len(columns) < n:
@@ -381,7 +383,7 @@ def inverse(rows: Matrix) -> tuple[list[list[int]], int]:
     n = len(rows)
     augmented = []
     for i, row in enumerate(rows):
-        ints, scale = _integral(row)
+        ints, scale = scale_to_integers(row)
         unit = [0] * n
         unit[i] = scale
         augmented.append(ints + unit)
@@ -402,7 +404,7 @@ def solve_affine(rows: Matrix, rhs: Sequence):
     unique, so both are read off the eliminated pivot rows over ``d``.
     """
     n = len(rows[0]) if rows else 0
-    aug = [_integral([*row, c])[0] for row, c in zip(rows, rhs)]
+    aug = [scale_to_integers([*row, c])[0] for row, c in zip(rows, rhs)]
     pivots = _bareiss(aug, n)[0]
     rank = len(pivots)
     if any(row[n] for row in aug[rank:]):
@@ -432,7 +434,7 @@ def solve_in_span(basis: Matrix, targets: Matrix) -> list[list[Fraction]] | None
         return [[] for _ in targets]
     r = len(basis)
     rows = [
-        _integral([*column, *(target[j] for target in targets)])[0]
+        scale_to_integers([*column, *(target[j] for target in targets)])[0]
         for j, column in enumerate(zip(*basis))
     ]
     rank = len(_bareiss(rows, r)[0])
@@ -473,19 +475,21 @@ def snf_index(sub: Matrix, sup: Matrix) -> int:
     return index
 
 
-def dual_lattice(basis: Matrix) -> list[list[Fraction]]:
+def dual_lattice(basis: Matrix) -> tuple[list[list[int]], int]:
     """Basis of the dual lattice ``{w : <w, v> in Z for all lattice v}``.
 
     ``basis`` must be square and nonsingular (full rank in its ambient
-    dimension); the dual is the inverse transpose, returned HNF-canonical.
+    dimension); the dual is the inverse transpose, returned HNF-canonical
+    as integer rows ``N`` over one denominator ``den``, in lowest terms.
     """
     d = len(basis)
     if d == 0 or len(basis[0]) != d:
         raise LinearAlgebraError("dual lattice needs a full-rank square basis")
     numerators, den = inverse(basis)
     # rows of (B^-1)^T are the columns of B^-1; the HNF of N / den is
-    # HNF(N) / den, because the HNF commutes with a positive scale
-    return [[Fraction(x, den) for x in row] for row in row_basis(transpose(numerators))]
+    # HNF(N) / den, because the HNF commutes with a positive scale, and
+    # unimodular row steps keep the entries' gcd, so it stays coprime to den
+    return row_basis(transpose(numerators)), den
 
 
 def gcd_over_basis(values: Sequence[int]) -> int:

@@ -29,6 +29,8 @@ class OracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleConfig:
+    """The oracle's tolerances and sample counts; every check reads ``DEFAULT_CONFIG``."""
+
     residual_tol: float = 1e-10
     area_rtol: float = 1e-8
     winding_turn_tol: float = 0.01
@@ -68,12 +70,12 @@ def residuals(system: QuadricSystem, u: np.ndarray) -> np.ndarray:
     return _gamma_array(system) @ (np.asarray(u) ** 2) - _delta_array(system)
 
 
-def _newton_polish(system: QuadricSystem, u: np.ndarray, config: OracleConfig) -> np.ndarray:
+def _newton_polish(system: QuadricSystem, u: np.ndarray) -> np.ndarray:
     gamma = _gamma_array(system)
     delta = _delta_array(system)
-    for _ in range(config.newton_rounds):
+    for _ in range(DEFAULT_CONFIG.newton_rounds):
         r = gamma @ (u ** 2) - delta
-        if np.max(np.abs(r)) <= config.residual_tol / 4:
+        if np.max(np.abs(r)) <= DEFAULT_CONFIG.residual_tol / 4:
             break
         jac = 2.0 * gamma * u
         step, *_ = np.linalg.lstsq(jac, r, rcond=None)
@@ -93,12 +95,7 @@ def _family_point(system: QuadricSystem, family: str) -> np.ndarray:
     return np.sqrt(np.array([float(b) for b in poly.offsets]))
 
 
-def sample_point(
-    system: QuadricSystem,
-    family: str | None = None,
-    seed: int = 0,
-    config: OracleConfig = DEFAULT_CONFIG,
-) -> RPoint:
+def sample_point(system: QuadricSystem, family: str | None = None, seed: int = 0) -> RPoint:
     """A point of the variety, deterministic for a fixed seed.
 
     With a family spec (as ``families.family_spec`` names it) the square
@@ -114,7 +111,7 @@ def sample_point(
             raise OracleError("the variety is empty or has no usable polytope point")
         rng = np.random.default_rng(seed)
         last_error = None
-        for _ in range(config.restarts):
+        for _ in range(DEFAULT_CONFIG.restarts):
             weights = rng.random(len(vertex_set.vertices))
             weights /= weights.sum()
             x = np.zeros(poly.dim)
@@ -129,17 +126,17 @@ def sample_point(
             if np.min(slacks) < 0:
                 last_error = OracleError("sampled point left the polytope")
                 continue
-            u = _newton_polish(system, np.sqrt(np.maximum(slacks, 0.0)), config)
+            u = _newton_polish(system, np.sqrt(np.maximum(slacks, 0.0)))
             r = residuals(system, u)
-            if np.max(np.abs(r)) <= config.residual_tol:
+            if np.max(np.abs(r)) <= DEFAULT_CONFIG.residual_tol:
                 return RPoint(u, r)
             last_error = OracleError(
                 f"Newton refinement stalled at residual {np.max(np.abs(r)):.2e}"
             )
         raise last_error
-    u = _newton_polish(system, _family_point(system, family), config)
+    u = _newton_polish(system, _family_point(system, family))
     r = residuals(system, u)
-    if np.max(np.abs(r)) > config.residual_tol:
+    if np.max(np.abs(r)) > DEFAULT_CONFIG.residual_tol:
         raise OracleError(f"residual {np.max(np.abs(r)):.2e} above tolerance")
     return RPoint(u, r)
 
@@ -176,25 +173,18 @@ def _check_closure(loop: TorusLoop, pairings: np.ndarray, u: np.ndarray):
         )
 
 
-def loop_area(
-    system: QuadricSystem,
-    loop: TorusLoop,
-    point: RPoint,
-    config: OracleConfig = DEFAULT_CONFIG,
-) -> float:
+def loop_area(system: QuadricSystem, loop: TorusLoop, point: RPoint) -> float:
     """Liouville-form integral along the realized loop by composite quadrature."""
     pairings = _loop_data(system, loop, deck_data(system)).pairings
-    return _loop_area(pairings, loop, point, config)
+    return _loop_area(pairings, loop, point)
 
 
-def _loop_area(
-    pairings: np.ndarray, loop: TorusLoop, point: RPoint, config: OracleConfig
-) -> float:
+def _loop_area(pairings: np.ndarray, loop: TorusLoop, point: RPoint) -> float:
     u = point.u
     _check_closure(loop, pairings, u)
     factor = 2.0 if loop.doubled else 1.0
     samples = loop.samples or max(
-        config.min_samples, 64 * (1 + int(factor * np.max(np.abs(pairings))))
+        DEFAULT_CONFIG.min_samples, 64 * (1 + int(factor * np.max(np.abs(pairings))))
     )
     s = (np.arange(samples) + 0.5) / samples
     theta = math.pi * factor * np.outer(pairings, s)
@@ -226,12 +216,7 @@ def _frame_matrix(system: QuadricSystem, u: np.ndarray) -> np.ndarray:
     return np.hstack([fiber.astype(complex), torus])
 
 
-def loop_maslov(
-    system: QuadricSystem,
-    loop: TorusLoop,
-    point: RPoint,
-    config: OracleConfig = DEFAULT_CONFIG,
-) -> int:
+def loop_maslov(system: QuadricSystem, loop: TorusLoop, point: RPoint) -> int:
     """Winding number of det^2 of the frame along the loop.
 
     The frame is rebuilt and its determinant recomputed at every sample;
@@ -239,11 +224,11 @@ def loop_maslov(
     and the winding must land within ``winding_turn_tol`` of an integer.
     """
     pairings = _loop_data(system, loop, deck_data(system)).pairings
-    return _loop_maslov(system, pairings, loop, point, config)
+    return _loop_maslov(system, pairings, loop, point)
 
 
 def _loop_maslov(
-    system: QuadricSystem, pairings: np.ndarray, loop: TorusLoop, point: RPoint, config: OracleConfig
+    system: QuadricSystem, pairings: np.ndarray, loop: TorusLoop, point: RPoint
 ) -> int:
     u = point.u
     _check_closure(loop, pairings, u)
@@ -253,7 +238,7 @@ def _loop_maslov(
     if abs(reference) < 1e-12:
         raise OracleError("frame degeneracy: determinant vanishes at the base point")
     samples = loop.samples or max(
-        config.min_samples, 16 + 8 * int(factor * np.sum(np.abs(pairings)))
+        DEFAULT_CONFIG.min_samples, 16 + 8 * int(factor * np.sum(np.abs(pairings)))
     )
     while True:
         s = np.linspace(0.0, 1.0, samples + 1)
@@ -265,12 +250,12 @@ def _loop_maslov(
         steps = np.abs(np.diff(angles))
         if np.max(steps) < math.pi / 2:
             break
-        if samples >= config.max_samples:
+        if samples >= DEFAULT_CONFIG.max_samples:
             raise OracleError("phase tracking failed to resolve the winding")
         samples *= 2
     winding = (angles[-1] - angles[0]) / (2 * math.pi)
     nearest = round(winding)
-    if abs(winding - nearest) > config.winding_turn_tol:
+    if abs(winding - nearest) > DEFAULT_CONFIG.winding_turn_tol:
         raise OracleError(f"winding {winding:.4f} is not within tolerance of an integer")
     return int(nearest)
 
@@ -295,28 +280,24 @@ def check_record(name, expected, actual, tolerance):
 
 
 def oracle_checks(
-    system: QuadricSystem,
-    loops: list[TorusLoop],
-    family: str | None = None,
-    seed: int = 0,
-    config: OracleConfig = DEFAULT_CONFIG,
+    system: QuadricSystem, loops: list[TorusLoop], family: str | None = None, seed: int = 0
 ) -> list[dict]:
     """Area and winding comparisons for a batch of loops at one sampled point."""
-    point = sample_point(system, family=family, seed=seed, config=config)
+    point = sample_point(system, family=family, seed=seed)
     deck = deck_data(system)
     records = [
         check_record(
             "point-residual",
             0.0,
             float(np.max(np.abs(point.residuals))),
-            config.residual_tol,
+            DEFAULT_CONFIG.residual_tol,
         )
     ]
     for loop in loops:
         label = "(" + ",".join(str(c) for c in loop.coeffs) + ")"
         data = _loop_data(system, loop, deck)
-        area = _loop_area(data.pairings, loop, point, config)
-        records.append(check_record(f"area{label}", data.area, area, config.area_rtol))
-        winding = _loop_maslov(system, data.pairings, loop, point, config)
+        area = _loop_area(data.pairings, loop, point)
+        records.append(check_record(f"area{label}", data.area, area, DEFAULT_CONFIG.area_rtol))
+        winding = _loop_maslov(system, data.pairings, loop, point)
         records.append(check_record(f"maslov{label}", data.maslov, winding, 0))
     return records

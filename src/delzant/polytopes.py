@@ -257,8 +257,7 @@ def _slack_system(poly: HPolytope, relations) -> tuple[int, list[int], list[int]
     """``(scale, scale * b, Gamma (scale * b))`` with ``scale`` the offsets'
     denominator lcm: the slack vectors ``s = A^T x + b`` of the points x,
     scaled, are the solutions of ``Gamma s = Gamma (scale * b)``."""
-    scale = math.lcm(*(b.denominator for b in poly.offsets))
-    offsets = [int(b * scale) for b in poly.offsets]
+    offsets, scale = linalg.scale_to_integers(poly.offsets)
     return scale, offsets, [linalg.dot(row, offsets) for row in relations]
 
 
@@ -464,15 +463,15 @@ def is_fano(poly: HPolytope, relations: Sequence[Sequence[int]] | None = None):
     if relations is None:
         relations = _relation_rows(poly)
     ones = [sum(row) for row in relations]
-    scale, _, values = _slack_system(poly, relations)  # values = scale * Gamma b
+    scale, offsets, values = _slack_system(poly, relations)  # values = scale * Gamma b
     # C = p / q off the first row with a nonzero Gamma 1, compared by cross-multiplying
     p, q = next(((v, scale * x) for v, x in zip(values, ones) if x), (1, 1))
     if p * q <= 0 or any(v * q != p * scale * x for v, x in zip(values, ones)):
         return False, None, None
-    constant = Fraction(p, q)
-    target = [b - constant for b in poly.offsets]
+    # b - C = (q * e - p * scale) / (scale * q), with e = scale * b
+    target = [q * e - p * scale for e in offsets]
     translation = linalg.solve_affine([list(a) for a in poly.normals], target)[0]
-    return True, constant, tuple(translation)
+    return True, Fraction(p, q), tuple(y / (scale * q) for y in translation)
 
 
 def _incidence_redundancy(n: int, vertices: Sequence[Vertex]) -> dict[int, bool] | None:

@@ -16,7 +16,6 @@ natural presentation of those families.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,27 +65,15 @@ class QuadricSystem:
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.n)]
 
-    def zero_columns(self) -> tuple[int, ...]:
-        """Variables appearing in no quadric; flagged, not fatal."""
-        return tuple(j for j in range(self.n) if not any(self.column(j)))
 
-
-def slack_ordered_hnf(rows, transform: bool = False):
+def slack_ordered_hnf(rows):
     """Row HNF with pivots chosen from the last column backwards.
 
     The result is a canonical representative of the row lattice, with rows
     ordered by ascending pivot column in the original orientation.
     """
-    reversed_rows = [list(reversed(r)) for r in rows]
-    if transform:
-        h, u = linalg.hnf(reversed_rows, transform=True)
-    else:
-        h = linalg.hnf(reversed_rows)
-    restored = [list(reversed(r)) for r in h]
-    restored.reverse()
-    if transform:
-        return restored, list(reversed(u))
-    return restored
+    h = linalg.hnf([list(reversed(r)) for r in rows])
+    return [list(reversed(r)) for r in reversed(h)]
 
 
 def polytope_to_quadrics(poly: HPolytope) -> QuadricSystem:
@@ -113,39 +100,23 @@ def quadrics_to_polytope(system: QuadricSystem) -> HPolytope:
     The normals are a saturated kernel basis of ``Gamma``; the offsets are
     the unique solution of ``Gamma b = delta`` supported on the pivot
     columns of the canonical form (a deterministic particular solution).
+    Those are the pivot columns of the reduced echelon form of the reversed
+    rows, whose particular solution ``linalg.solve_affine`` returns.
     """
     if system.m == 0:
         raise QuadricError("empty quadric system")
     n = system.n
-    denominator = math.lcm(*(d.denominator for d in system.delta))
-    scaled = [int(d * denominator) for d in system.delta]
-    reversed_rows = [list(reversed(r)) for r in system.gamma]
-    h, u = linalg.hnf(reversed_rows, transform=True)
-    rhs = linalg.mat_vec(u, scaled)
-    pivots: list[tuple[int, int]] = []  # (row, column) in reversed orientation
-    for i, row in enumerate(h):
-        nz = next((j for j, x in enumerate(row) if x), None)
-        if nz is None:
-            if rhs[i]:
-                raise QuadricError("inconsistent right-hand side: no polytope exists")
-            continue
-        pivots.append((i, nz))
-    if len(pivots) < system.m:
-        raise QuadricError(
-            f"coefficient matrix has rank {len(pivots)} < {system.m} quadrics"
-        )
-    b_rev = [Fraction(0)] * n
-    for i, col in reversed(pivots):
-        acc = Fraction(rhs[i], denominator)
-        acc -= sum((Fraction(x) * b_rev[j] for j, x in enumerate(h[i]) if j > col), Fraction(0))
-        b_rev[col] = acc / h[i][col]
-    offsets = tuple(reversed(b_rev))
+    solution = linalg.solve_affine([list(reversed(r)) for r in system.gamma], system.delta)
+    if solution is None:
+        raise QuadricError("inconsistent right-hand side: no polytope exists")
+    b_rev, null_basis = solution
+    rank = n - len(null_basis)
+    if rank < system.m:
+        raise QuadricError(f"coefficient matrix has rank {rank} < {system.m} quadrics")
+    # full row rank, so the saturated kernel has n - m rows
     kernel = linalg.integer_kernel([list(r) for r in system.gamma])
-    k = n - system.m
-    if len(kernel) != k:
-        raise QuadricError("coefficient matrix is rank-deficient")
     normals = tuple(tuple(row[j] for row in kernel) for j in range(n))
-    return HPolytope(k, normals, offsets)
+    return HPolytope(n - system.m, normals, tuple(reversed(b_rev)))
 
 
 def nondegeneracy(system: QuadricSystem, poly: HPolytope) -> bool:
@@ -162,10 +133,8 @@ def nondegeneracy(system: QuadricSystem, poly: HPolytope) -> bool:
 
 def augmented_canonical(system: QuadricSystem) -> list[list[Fraction]]:
     """Canonical form of the augmented matrix [Gamma | delta] for comparisons."""
-    scale = math.lcm(*(d.denominator for d in system.delta))
-    rows = [
-        list(r) + [int(d * scale)] for r, d in zip(system.gamma, system.delta)
-    ]
+    delta, scale = linalg.scale_to_integers(system.delta)
+    rows = [[*r, d] for r, d in zip(system.gamma, delta)]
     return [
         [Fraction(x) if j < system.n else Fraction(x, scale) for j, x in enumerate(row)]
         for row in linalg.row_basis(rows)

@@ -160,39 +160,89 @@ def _random_unimodular(rng, d):
     return m
 
 
+def _over(numerators, den):
+    return [[Fraction(x, den) for x in row] for row in numerators]
+
+
+def _random_nonsingular(rng, d):
+    basis = None
+    while basis is None or linalg.det(basis) == 0:
+        basis = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
+    return basis
+
+
 class TestDualLattice:
+    """``dual_lattice`` returns integer HNF rows over one denominator ``(N, den)``."""
+
     def test_standard_self_dual(self):
-        dual = linalg.dual_lattice(linalg.identity(3))
-        assert dual == [[Fraction(1), Fraction(0), Fraction(0)],
-                        [Fraction(0), Fraction(1), Fraction(0)],
-                        [Fraction(0), Fraction(0), Fraction(1)]]
+        assert linalg.dual_lattice(linalg.identity(3)) == (linalg.identity(3), 1)
 
     def test_quadric_column_lattice(self):
         # lattice generated by (1,1), (1,0), (0,1) is all of Z^2
         basis = linalg.row_basis([[1, 1], [1, 0], [0, 1]])
-        dual = linalg.dual_lattice(basis)
-        assert dual == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+        assert linalg.dual_lattice(basis) == ([[1, 0], [0, 1]], 1)
 
     def test_stretched_axis(self):
-        dual = linalg.dual_lattice([[2, 0], [0, 1]])
+        numerators, den = linalg.dual_lattice([[2, 0], [0, 1]])
+        assert (numerators, den) == ([[1, 0], [0, 2]], 2)
+        dual = _over(numerators, den)
         assert dual == [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1)]]
         for w in dual:
             for v in [[2, 0], [0, 1]]:
-                assert Fraction(linalg.dot(w, v)).denominator == 1
+                assert linalg.dot(w, v).denominator == 1
+
+    def test_integer_rows_in_lowest_terms(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            basis = _random_nonsingular(rng, rng.choice([1, 2, 3, 4]))
+            numerators, den = linalg.dual_lattice(basis)
+            assert type(den) is int and den > 0
+            assert all(type(x) is int for row in numerators for x in row)
+            assert math.gcd(den, *(x for row in numerators for x in row)) == 1
+            assert numerators == linalg.row_basis(numerators)
+            # the Fraction rows: the canonical basis of the rows of the
+            # dense inverse transpose, scaled to integers and back
+            rows = linalg.transpose(ref.inverse(basis))
+            scale = math.lcm(*(x.denominator for row in rows for x in row))
+            hnf = linalg.row_basis([[int(x * scale) for x in row] for row in rows])
+            assert _over(numerators, den) == _over(hnf, scale)
 
     def test_involution(self):
         rng = random.Random(11)
         for _ in range(20):
-            d = rng.choice([2, 3])
-            basis = None
-            while basis is None or linalg.det(basis) == 0:
-                basis = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
-            double_dual = linalg.dual_lattice(linalg.dual_lattice(basis))
-            assert double_dual == linalg.row_basis(basis)
+            basis = _random_nonsingular(rng, rng.choice([2, 3]))
+            double_dual = linalg.dual_lattice(_over(*linalg.dual_lattice(basis)))
+            assert double_dual == (linalg.row_basis(basis), 1)
 
     def test_rejects_singular(self):
         with pytest.raises(linalg.LinearAlgebraError):
             linalg.dual_lattice([[1, 2], [2, 4]])
+
+
+class TestScaleToIntegers:
+    def test_mixed_int_and_fraction(self):
+        assert linalg.scale_to_integers([1, Fraction(1, 2), Fraction(2, 3), 0]) == ([6, 3, 4, 0], 6)
+
+    def test_all_int_returns_a_new_list(self):
+        values = [3, -1, 0]
+        numerators, scale = linalg.scale_to_integers(values)
+        assert (numerators, scale) == ([3, -1, 0], 1)
+        assert numerators is not values
+        numerators.append(7)
+        assert values == [3, -1, 0]
+
+    def test_empty(self):
+        assert linalg.scale_to_integers([]) == ([], 1)
+
+    def test_negative_fractions(self):
+        numerators, scale = linalg.scale_to_integers([Fraction(-3, 4), Fraction(5, -6), -2])
+        assert (numerators, scale) == ([-9, -10, -24], 12)
+        assert all(type(x) is int for x in numerators)
+
+    def test_integral_fractions(self):
+        numerators, scale = linalg.scale_to_integers([Fraction(4, 2), Fraction(-3)])
+        assert (numerators, scale) == ([2, -3], 1)
+        assert all(type(x) is int for x in numerators)
 
 
 class TestGcd:

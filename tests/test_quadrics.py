@@ -23,7 +23,9 @@ from delzant.quadrics import (
     polytope_to_quadrics,
     quadrics_to_json,
     quadrics_to_polytope,
+    slack_ordered_hnf,
 )
+from . import primal_reference as ref
 from .test_polytopes import (
     coercible_numbers,
     interval,
@@ -125,6 +127,62 @@ class TestBackward:
             quadrics_to_polytope(
                 QuadricSystem(((1, 1), (2, 2)), (Fraction(1), Fraction(2)))
             )
+
+
+@st.composite
+def backward_cases(draw):
+    """Quadric systems with fractional delta: independent rows, then rows that
+    are integer combinations of them, whose delta is the same combination of
+    theirs (rank-deficient) or arbitrary (mostly inconsistent)."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    base = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n))
+    gamma = [list(row) for row in base]
+    delta = draw(st.lists(rational, min_size=len(base), max_size=len(base)))
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)))
+        gamma.append([sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(n)])
+        consistent = draw(st.booleans())
+        delta.append(linalg.dot(coeffs, delta[: len(base)]) if consistent else draw(rational))
+    order = draw(st.permutations(range(len(gamma))))
+    return QuadricSystem(
+        tuple(tuple(gamma[i]) for i in order), tuple(Fraction(delta[i]) for i in order)
+    )
+
+
+class TestBackwardProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(backward_cases())
+    def test_offsets_solve_the_system_on_the_pivot_columns(self, system):
+        m, n = system.m, system.n
+        rank = ref.rank(system.gamma)
+        augmented = [[*row, d] for row, d in zip(system.gamma, system.delta)]
+        # a unit vector e_j in the row space of Gamma makes normal j zero
+        units = linalg.identity(n)
+        unit_rows = [j for j in range(n) if ref.rank([*system.gamma, units[j]]) == rank]
+        if ref.rank(augmented) > rank:
+            expected = QuadricError, "inconsistent right-hand side: no polytope exists"
+        elif rank < m:
+            expected = QuadricError, f"coefficient matrix has rank {rank} < {m} quadrics"
+        elif unit_rows and m < n:
+            expected = PolytopeFormatError, f"normal {unit_rows[0]} is the zero vector"
+        else:
+            expected = None
+        if expected is not None:
+            with pytest.raises(expected[0]) as error:
+                quadrics_to_polytope(system)
+            assert str(error.value) == expected[1]
+            return
+        poly = quadrics_to_polytope(system)
+        b = poly.offsets
+        assert all(type(x) is Fraction for x in b)
+        assert [linalg.dot(row, b) for row in system.gamma] == list(system.delta)
+        pivots = {max(j for j, x in enumerate(row) if x) for row in slack_ordered_hnf(system.gamma)}
+        assert all(b[j] == 0 for j in range(n) if j not in pivots)
+        assert poly.dim == n - m
+        for j in range(poly.dim):
+            assert all(linalg.dot(row, [a[j] for a in poly.normals]) == 0 for row in system.gamma)
 
 
 class TestRoundTrips:

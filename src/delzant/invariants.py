@@ -57,10 +57,6 @@ class DeckData:
         den = self.dual_den
         return tuple(tuple(Fraction(x, den) for x in row) for row in self.dual_numerators)
 
-    @property
-    def deck_order(self) -> int:
-        return 2 ** self.rank
-
 
 @dataclass(frozen=True)
 class LoopLattice:

@@ -111,10 +111,6 @@ def row_basis(matrix: Matrix) -> list[list[int]]:
     return [r for r in hnf(matrix) if any(r)]
 
 
-def hnf_span_equal(a: Matrix, b: Matrix) -> bool:
-    return row_basis(a) == row_basis(b)
-
-
 def integer_kernel(matrix: Matrix) -> list[list[int]]:
     """Saturated basis of ``{v : matrix @ v == 0}`` over the integers.
 

@@ -10,6 +10,7 @@ coordinate it flips vanishes at the base point.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,6 +42,10 @@ class OracleConfig:
 
 
 DEFAULT_CONFIG = OracleConfig()
+
+# samples per stacked determinant; one chunk of the largest frame (n = 21)
+# is about 0.9 MB of complex matrices
+_DET_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -150,14 +155,22 @@ class _LoopData:
     area: float  # pi <w, delta>, halved for a plain loop
 
 
-def _loop_data(system: QuadricSystem, loop: TorusLoop, deck: DeckData) -> _LoopData:
+@functools.lru_cache(maxsize=64)
+def _deck_record(system: QuadricSystem) -> tuple[DeckData, tuple[int, ...], int]:
+    """The system's deck data and its delta pairings ``(N, den)``, built once per system."""
+    deck = deck_data(system)
+    numerators, den = delta_pairings(deck, system)
+    return deck, tuple(numerators), den
+
+
+def _loop_data(system: QuadricSystem, loop: TorusLoop) -> _LoopData:
+    deck, numerators, den = _deck_record(system)
     if len(loop.coeffs) != deck.rank:
         raise OracleError("loop coefficients do not match the torus rank")
     pairings = [
         sum(c * row[j] for c, row in zip(loop.coeffs, deck.pairings)) for j in range(system.n)
     ]
     factor = 2 if loop.doubled else 1
-    numerators, den = delta_pairings(deck, system)
     # int / int is correctly rounded, as float(Fraction) is
     area = linalg.dot(loop.coeffs, numerators) * factor / (2 * den)
     return _LoopData(np.array(pairings, dtype=float), factor * sum(pairings), area * math.pi)
@@ -175,7 +188,7 @@ def _check_closure(loop: TorusLoop, pairings: np.ndarray, u: np.ndarray):
 
 def loop_area(system: QuadricSystem, loop: TorusLoop, point: RPoint) -> float:
     """Liouville-form integral along the realized loop by composite quadrature."""
-    pairings = _loop_data(system, loop, deck_data(system)).pairings
+    pairings = _loop_data(system, loop).pairings
     return _loop_area(pairings, loop, point)
 
 
@@ -195,7 +208,7 @@ def _loop_area(pairings: np.ndarray, loop: TorusLoop, point: RPoint) -> float:
 
 def closed_form_area(system: QuadricSystem, loop: TorusLoop) -> float:
     """pi <w, delta> for doubled loops, half that for plain ones."""
-    return _loop_data(system, loop, deck_data(system)).area
+    return _loop_data(system, loop).area
 
 
 def _frame_matrix(system: QuadricSystem, u: np.ndarray) -> np.ndarray:
@@ -219,11 +232,12 @@ def _frame_matrix(system: QuadricSystem, u: np.ndarray) -> np.ndarray:
 def loop_maslov(system: QuadricSystem, loop: TorusLoop, point: RPoint) -> int:
     """Winding number of det^2 of the frame along the loop.
 
-    The frame is rebuilt and its determinant recomputed at every sample;
-    sampling is refined until consecutive phases differ by less than pi/2,
-    and the winding must land within ``winding_turn_tol`` of an integer.
+    The frame is rebuilt and its determinant recomputed at every sample, in
+    stacked chunks of ``_DET_CHUNK`` samples; sampling is refined until
+    consecutive phases differ by less than pi/2, and the winding must land
+    within ``winding_turn_tol`` of an integer.
     """
-    pairings = _loop_data(system, loop, deck_data(system)).pairings
+    pairings = _loop_data(system, loop).pairings
     return _loop_maslov(system, pairings, loop, point)
 
 
@@ -243,7 +257,12 @@ def _loop_maslov(
     while True:
         s = np.linspace(0.0, 1.0, samples + 1)
         phases = np.exp(1j * math.pi * factor * np.outer(s, pairings))
-        dets = np.array([np.linalg.det(phases[i][:, None] * base) for i in range(len(s))])
+        dets = np.concatenate(
+            [
+                np.linalg.det(phases[i : i + _DET_CHUNK, :, None] * base)
+                for i in range(0, len(s), _DET_CHUNK)
+            ]
+        )
         if np.min(np.abs(dets)) < 1e-12 * abs(reference):
             raise OracleError("frame degeneracy along the loop")
         angles = np.unwrap(np.angle(dets ** 2))
@@ -262,7 +281,7 @@ def _loop_maslov(
 
 def expected_maslov(system: QuadricSystem, loop: TorusLoop) -> int:
     """The exact pairing of the realized loop class with the column sum."""
-    return _loop_data(system, loop, deck_data(system)).maslov
+    return _loop_data(system, loop).maslov
 
 
 def check_record(name, expected, actual, tolerance):
@@ -284,7 +303,6 @@ def oracle_checks(
 ) -> list[dict]:
     """Area and winding comparisons for a batch of loops at one sampled point."""
     point = sample_point(system, family=family, seed=seed)
-    deck = deck_data(system)
     records = [
         check_record(
             "point-residual",
@@ -295,7 +313,7 @@ def oracle_checks(
     ]
     for loop in loops:
         label = "(" + ",".join(str(c) for c in loop.coeffs) + ")"
-        data = _loop_data(system, loop, deck)
+        data = _loop_data(system, loop)
         area = _loop_area(data.pairings, loop, point)
         records.append(check_record(f"area{label}", data.area, area, DEFAULT_CONFIG.area_rtol))
         winding = _loop_maslov(system, data.pairings, loop, point)

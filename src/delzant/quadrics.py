@@ -116,6 +116,14 @@ def quadrics_to_polytope(system: QuadricSystem) -> HPolytope:
     # full row rank, so the saturated kernel has n - m rows
     kernel = linalg.integer_kernel([list(r) for r in system.gamma])
     normals = tuple(tuple(row[j] for row in kernel) for j in range(n))
+    # a point system (m == n) has only empty normals, which HPolytope accepts
+    if kernel:
+        for j, normal in enumerate(normals):
+            if not any(normal):
+                raise QuadricError(
+                    f"column {j} of Gamma: the unit vector e_{j} lies in the row space, "
+                    f"so inequality {j} would have a zero normal"
+                )
     return HPolytope(n - system.m, normals, tuple(reversed(b_rev)))
 
 

@@ -47,10 +47,6 @@ class HomologyProfile:
     def cover_dim(self) -> int:
         return self.dims[-1][0]
 
-    @property
-    def total_dim(self) -> int:
-        return sum(v for _, v in self.dims)
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.dims)
 

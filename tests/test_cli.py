@@ -115,6 +115,17 @@ class TestQuadrics:
         code, out, err = run_cli(capsys, "quadrics", str(qfile), "--invert")
         assert code == 1 and out == "" and err.startswith("error:")
 
+    def test_invert_names_the_constant_column(self, capsys, tmp_path):
+        # u_1^2 = 0 fixes coordinate 1: e_1 spans the row space of Gamma
+        qfile = tmp_path / "quadrics.json"
+        qfile.write_text(json.dumps({"Gamma": [[0, 1]], "delta": ["0"]}))
+        code, out, err = run_cli(capsys, "quadrics", str(qfile), "--invert")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: column 1 of Gamma: the unit vector e_1 lies in the row space, "
+            "so inequality 1 would have a zero normal\n"
+        )
+
 
 class TestObstruct:
     def test_sphere_product_family(self, capsys):

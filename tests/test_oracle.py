@@ -1,10 +1,20 @@
+import hashlib
+import json
 import math
+import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from delzant.families import gen_product_simplices, gen_redundant_simplex
+from delzant import invariants, oracle
+from delzant.families import (
+    FamilyRangeWarning,
+    gen_product_simplices,
+    gen_redundant_simplex,
+    parse_family_spec,
+)
 from delzant.oracle import (
     OracleError,
     TorusLoop,
@@ -15,7 +25,9 @@ from delzant.oracle import (
     oracle_checks,
     sample_point,
 )
+from delzant.polytopes import HPolytope
 from delzant.quadrics import QuadricSystem, polytope_to_quadrics
+from delzant.reproduce import DEFAULT_ORACLE_SEED, ORACLE_CATALOG
 
 
 def circle():
@@ -139,3 +151,176 @@ class TestOracleChecks:
         records = oracle_checks(q, loops, family="product-simplices:p=4,n=10,k=2")
         assert all(r["pass"] for r in records)
         assert len(records) == 1 + 2 * len(loops)
+
+
+def cut_box(seed: int) -> QuadricSystem:
+    """The quadrics of a box [-h, h]^k with a few integer cuts keeping the origin inside."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 3)
+    half = rng.randint(1, 3)
+    normals = [tuple(s * int(r == i) for i in range(k)) for r in range(k) for s in (1, -1)]
+    offsets = [Fraction(half)] * (2 * k)
+    n = 2 * k + rng.randint(1, 3)
+    while len(normals) < n:
+        a = tuple(rng.randint(-2, 2) for _ in range(k))
+        if any(a):
+            normals.append(a)
+            offsets.append(Fraction(rng.randint(1, half * sum(map(abs, a)))))
+    return polytope_to_quadrics(HPolytope(k, tuple(normals), tuple(offsets)))
+
+
+def stacked_cases():
+    """(system, base point, loop coefficients) on catalog and random systems."""
+    cases = []
+    for spec in ("product-simplices:p=4,n=10,k=2", "redundant-simplex:n=7,k=4"):
+        q = polytope_to_quadrics(parse_family_spec(spec))
+        cases.append((q, sample_point(q, family=spec)))
+    for seed in range(3):
+        q = cut_box(seed)
+        cases.append((q, sample_point(q, seed=seed)))
+    rng = random.Random(5)
+    out = []
+    for q, point in cases:
+        for _ in range(2):
+            coeffs = (0,) * q.m
+            while not any(coeffs):
+                coeffs = tuple(rng.randint(-3, 3) for _ in range(q.m))
+            out.append((q, point, coeffs))
+    return out
+
+
+def per_sample_winding(system, loop, point) -> int:
+    """The unstacked reference winding: one ``np.linalg.det`` call per sample."""
+    pairings = oracle._loop_data(system, loop).pairings
+    factor = 2.0 if loop.doubled else 1.0
+    base = oracle._frame_matrix(system, point.u)
+    reference = abs(np.linalg.det(base))
+    samples = loop.samples
+    while True:
+        s = np.linspace(0.0, 1.0, samples + 1)
+        phases = np.exp(1j * math.pi * factor * np.outer(s, pairings))
+        dets = np.array([np.linalg.det(phases[i][:, None] * base) for i in range(len(s))])
+        assert np.min(np.abs(dets)) >= 1e-12 * reference
+        angles = np.unwrap(np.angle(dets**2))
+        if np.max(np.abs(np.diff(angles))) < math.pi / 2:
+            return round((angles[-1] - angles[0]) / (2 * math.pi))
+        samples *= 2
+
+
+CHUNK_EDGES = (1, 127, 128, 129, 300)
+
+
+class TestStackedDeterminant:
+    def test_winding_matches_per_sample_loop(self):
+        for q, point, coeffs in stacked_cases():
+            for samples in CHUNK_EDGES:
+                loop = TorusLoop(coeffs, doubled=True, samples=samples)
+                assert loop_maslov(q, loop, point) == per_sample_winding(q, loop, point)
+
+    def test_stacked_dets_match_per_sample_dets(self, monkeypatch):
+        det = np.linalg.det
+        stacks = []
+
+        def recording(a):
+            result = det(a)
+            if np.ndim(a) == 3:
+                stacks.append((np.array(a), result))
+            return result
+
+        monkeypatch.setattr(np.linalg, "det", recording)
+        for q, point, coeffs in stacked_cases()[::3]:
+            for samples in CHUNK_EDGES:
+                loop_maslov(q, TorusLoop(coeffs, doubled=True, samples=samples), point)
+        monkeypatch.undo()
+        assert stacks
+        assert max(len(a) for a, _ in stacks) == oracle._DET_CHUNK
+        for frames, result in stacks:
+            single = np.array([det(frame) for frame in frames])
+            assert np.all(np.abs(result - single) <= 1e-12 * np.abs(single))
+
+    def test_zero_column_frame_raises(self, monkeypatch):
+        q = polytope_to_quadrics(gen_redundant_simplex(5, 2))
+        point = sample_point(q, family="redundant-simplex:n=5,k=2")
+        honest = oracle._frame_matrix
+
+        def zero_column(system, u):
+            frame = honest(system, u).copy()
+            frame[:, -1] = 0
+            return frame
+
+        monkeypatch.setattr(oracle, "_frame_matrix", zero_column)
+        for samples in CHUNK_EDGES:
+            with pytest.raises(OracleError, match="frame degeneracy"):
+                loop_maslov(q, TorusLoop((1, 1), samples=samples), point)
+
+
+def catalog_records() -> list:
+    """``verify``'s oracle-agreement records: the catalog with its seeded loops."""
+    rng = np.random.default_rng(DEFAULT_ORACLE_SEED)
+    records = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FamilyRangeWarning)
+        for spec in ORACLE_CATALOG:
+            system = polytope_to_quadrics(parse_family_spec(spec))
+            classes = [(1, 0), (0, 1)]
+            while len(classes) < 22:
+                candidate = tuple(int(c) for c in rng.integers(-3, 4, size=system.m))
+                if any(candidate):
+                    classes.append(candidate)
+            loops = [TorusLoop(coords, doubled=True) for coords in classes]
+            records.extend(oracle_checks(system, loops, family=spec, seed=DEFAULT_ORACLE_SEED))
+    return records
+
+
+# the digest of ``catalog_records()`` as the unstacked per-sample determinant loop gives it
+CATALOG_DIGEST = "60c4b28e3cbe34d2fe3cdfe35dc15812cdaf2be780b9faf5b6e673300a9e46e2"
+
+
+class TestDeckRecord:
+    def test_one_deck_data_call_per_system(self, monkeypatch):
+        calls = []
+
+        def counting(system):
+            calls.append(system)
+            return invariants.deck_data(system)
+
+        monkeypatch.setattr(oracle, "deck_data", counting)
+        oracle._deck_record.cache_clear()
+        try:
+            q = polytope_to_quadrics(gen_redundant_simplex(7, 4))
+            point = sample_point(q, seed=1)
+            readers = (
+                lambda loop: loop_area(q, loop, point),
+                lambda loop: loop_maslov(q, loop, point),
+                lambda loop: closed_form_area(q, loop),
+                lambda loop: expected_maslov(q, loop),
+            )
+            for i in range(10):
+                readers[i % 4](TorusLoop((1, i - 5)))
+            assert calls == [q]
+            other = polytope_to_quadrics(gen_product_simplices(4, 10, 2))
+            closed_form_area(other, TorusLoop((1, 0)))
+            expected_maslov(other, TorusLoop((0, 1)))
+            assert calls == [q, other]
+        finally:
+            oracle._deck_record.cache_clear()
+
+    def test_record_equals_fresh_deck_data(self):
+        for q in (
+            circle(),
+            polytope_to_quadrics(gen_redundant_simplex(13, 8)),
+            QuadricSystem(((2, 2, 2),), (Fraction(7, 3),)),
+            cut_box(4),
+        ):
+            deck, numerators, den = oracle._deck_record(q)
+            fresh = invariants.deck_data(q)
+            assert deck == fresh
+            assert (list(numerators), den) == invariants.delta_pairings(fresh, q)
+
+    def test_catalog_records_unchanged(self):
+        records = catalog_records()
+        assert len(records) == len(ORACLE_CATALOG) * (1 + 2 * 22)
+        assert all(r["pass"] for r in records)
+        text = json.dumps(records, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGEST
+

@@ -158,7 +158,7 @@ class TestBackwardProperty:
         m, n = system.m, system.n
         rank = ref.rank(system.gamma)
         augmented = [[*row, d] for row, d in zip(system.gamma, system.delta)]
-        # a unit vector e_j in the row space of Gamma makes normal j zero
+        # a unit vector e_j in the row space of Gamma would make normal j zero
         units = linalg.identity(n)
         unit_rows = [j for j in range(n) if ref.rank([*system.gamma, units[j]]) == rank]
         if ref.rank(augmented) > rank:
@@ -166,7 +166,11 @@ class TestBackwardProperty:
         elif rank < m:
             expected = QuadricError, f"coefficient matrix has rank {rank} < {m} quadrics"
         elif unit_rows and m < n:
-            expected = PolytopeFormatError, f"normal {unit_rows[0]} is the zero vector"
+            j = unit_rows[0]
+            expected = QuadricError, (
+                f"column {j} of Gamma: the unit vector e_{j} lies in the row space, "
+                f"so inequality {j} would have a zero normal"
+            )
         else:
             expected = None
         if expected is not None:

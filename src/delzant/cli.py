@@ -13,17 +13,15 @@ import sys
 
 from .analysis import analysis_to_json, analyze_polytope
 from .families import family_spec, parse_family_spec, parse_profile_spec
-from .invariants import InvariantError, deck_data, loop_lattice
+from .invariants import InvariantError
 from .oracle import OracleError, TorusLoop, oracle_checks
 from .polytopes import (
     DEFAULT_SUBSET_BUDGET,
     PolytopeError,
     PolytopeFormatError,
-    enumerate_vertices,
     parse_integer,
     parse_polytope,
     polytope_to_json,
-    redundancy,
 )
 from .quadrics import (
     QuadricError,
@@ -129,18 +127,15 @@ def cmd_obstruct(args) -> int:
 
 def cmd_oracle(args) -> int:
     poly = _load_polytope(args)
-    system = polytope_to_quadrics(poly)
     if args.loop:
+        system = polytope_to_quadrics(poly)
         coords = tuple(parse_integer(x, "loop coordinate") for x in args.loop.split(","))
         loops = [TorusLoop(coords, doubled=True, samples=args.samples)]
+        records = oracle_checks(system, loops, family=family_spec(system), seed=args.seed)
     else:
-        vertex_set = enumerate_vertices(poly, relations=system.gamma)
-        strict = sorted(i for i, s in redundancy(poly, vertex_set=vertex_set).items() if s)
-        loops = [
-            TorusLoop(v, doubled=True, samples=args.samples)
-            for v in loop_lattice(deck_data(system), strict).basis
-        ]
-    records = oracle_checks(system, loops, family=family_spec(system), seed=args.seed)
+        records = analyze_polytope(
+            poly, with_oracle=True, seed=args.seed, samples=args.samples
+        ).oracle_checks
     _emit(records)
     return 0 if all(r["pass"] for r in records) else 1
 
@@ -220,6 +215,8 @@ def main(argv=None) -> int:
             if getattr(args, dest, None) is not None:
                 flag = "--" + dest.replace("_", "-")
                 setattr(args, dest, parse_integer(getattr(args, dest), flag))
+        if getattr(args, "samples", 0) < 0:
+            raise ValueError("--samples must be at least 0")
         return args.func(args)
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from it, and only the areas pair a dual vector with ``delta``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -115,49 +116,29 @@ def delta_pairings(deck: DeckData, system: QuadricSystem) -> tuple[list[int], in
 def loop_lattice(deck: DeckData, strict_redundant: Iterable[int]) -> LoopLattice:
     """Loop classes: dual vectors pairing evenly with every strict redundant column.
 
-    With no redundancy this is the whole dual lattice.  The congruence rule
+    With no redundancy this is the whole dual lattice.  Otherwise the loops
+    are the ``v``-parts of the saturated integer kernel of ``[P | -2I]``,
+    where row s of ``P`` pairs ``v`` with strict redundant column s, so
+    ``P v = 2 w``.  They contain the doubled lattice, so their HNF basis is
+    full rank and its determinant is the index.  The congruence rule
     assumes the irredundant core variety is connected.
     """
     redundant = sorted(set(strict_redundant))
     d = deck.rank
     if not redundant:
         return LoopLattice(tuple(tuple(row) for row in linalg.identity(d)), 1, True)
-    parity_rows = [[row[s] % 2 for row in deck.pairings] for s in redundant]
-    solutions = _gf2_kernel(parity_rows, d)
-    stacked = solutions + [[2 * x for x in row] for row in linalg.identity(d)]
-    basis = linalg.row_basis(stacked)
-    index = linalg.snf_index(basis, linalg.identity(d))
-    return LoopLattice(tuple(tuple(r) for r in basis), index, True)
+    relations = [
+        [row[s] for row in deck.pairings] + [-2 * (i == t) for t in range(len(redundant))]
+        for i, s in enumerate(redundant)
+    ]
+    basis = linalg.row_basis([v[:d] for v in linalg.integer_kernel(relations)])
+    return LoopLattice(tuple(tuple(r) for r in basis), linalg.lattice_det(basis), True)
 
 
 def doubled_loop_lattice(deck: DeckData) -> LoopLattice:
     """Fallback when the loop lattice is unknown: doubled classes always close."""
     basis = tuple(tuple(2 * x for x in row) for row in linalg.identity(deck.rank))
     return LoopLattice(basis, 2 ** deck.rank, False)
-
-
-def _gf2_kernel(rows: list[list[int]], width: int) -> list[list[int]]:
-    matrix = [[x % 2 for x in row] for row in rows]
-    pivots: dict[int, list[int]] = {}
-    for row in matrix:
-        for col in range(width):
-            if not row[col]:
-                continue
-            if col in pivots:
-                row = [(a + b) % 2 for a, b in zip(row, pivots[col])]
-                continue
-            pivots[col] = row
-            break
-    kernel = []
-    free = [c for c in range(width) if c not in pivots]
-    for f in free:
-        vec = [0] * width
-        vec[f] = 1
-        for col in sorted(pivots, reverse=True):
-            value = sum(pivots[col][j] * vec[j] for j in range(col + 1, width)) % 2
-            vec[col] = value
-        kernel.append(vec)
-    return kernel
 
 
 def t_vector(system: QuadricSystem) -> tuple[int, ...]:
@@ -178,7 +159,7 @@ def maslov_area_report(
     pairings, den = delta_pairings(deck, system)
     maslov = [linalg.dot(coords, generator_maslov) for coords in loops.basis]
     areas = [Fraction(linalg.dot(coords, pairings), 2 * den) for coords in loops.basis]
-    minimal = linalg.gcd_over_basis(maslov)
+    minimal = math.gcd(*maslov)
     coeff: Fraction | None = None
     monotone = True
     counterexample = None

@@ -3,10 +3,10 @@
 Matrices are row-major lists of rows whose entries are Python ``int`` or
 ``fractions.Fraction``, so everything here is exact and overflow-free.
 Lattices are represented by basis rows; the canonical representative of a
-row lattice is its row Hermite normal form.  Square solves, determinants,
-ranks, inverses, span coefficients and affine solutions share one
-fraction-free (Bareiss) elimination kernel; the exact simplex pivots with
-the same step.
+row lattice is its row Hermite normal form, and the index of a full-rank
+lattice is read off its diagonal.  Square solves, determinants, ranks,
+inverses and affine solutions share one fraction-free (Bareiss)
+elimination kernel; the exact simplex pivots with the same step.
 """
 
 from __future__ import annotations
@@ -131,57 +131,12 @@ def integer_kernel(matrix: Matrix) -> list[list[int]]:
     return row_basis(kernel)
 
 
-def snf_diagonal(matrix: Matrix) -> list[int]:
-    """Diagonal of the Smith normal form (non-negative, each divides the next)."""
-    a = [list(r) for r in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag: list[int] = []
-    top = 0
-    while top < min(m, n):
-        support = [(i, j) for i in range(top, m) for j in range(top, n) if a[i][j]]
-        if not support:
-            break
-        i0, j0 = min(support, key=lambda ij: abs(a[ij[0]][ij[1]]))
-        a[top], a[i0] = a[i0], a[top]
-        for r in a:
-            r[top], r[j0] = r[j0], r[top]
-        while True:
-            if a[top][top] < 0:
-                a[top] = [-x for x in a[top]]
-            p = a[top][top]
-            dirty = False
-            for i in range(top + 1, m):
-                if a[i][top]:
-                    q = a[i][top] // p
-                    _axpy(a[i], a[top], q)
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(top + 1, n):
-                if a[top][j]:
-                    q = a[top][j] // p
-                    for i in range(top, m):
-                        a[i][j] -= q * a[i][top]
-                    if a[top][j]:
-                        for i in range(top, m):
-                            a[i][top], a[i][j] = a[i][j], a[i][top]
-                        dirty = True
-            if dirty:
-                continue
-            offender = next(
-                (i for i in range(top + 1, m) if any(a[i][j] % p for j in range(top + 1, n))),
-                None,
-            )
-            if offender is None:
-                break
-            _axpy(a[top], a[offender], -1)
-        diag.append(a[top][top])
-        top += 1
-    diag.extend([0] * (min(m, n) - len(diag)))
-    return diag
+def lattice_det(basis: Matrix) -> int:
+    """Determinant of a full-rank k x k HNF basis: the lattice's index in ``Z^k``.
+
+    The basis is upper triangular with its positive pivots on the diagonal.
+    """
+    return math.prod(basis[i][i] for i in range(len(basis)))
 
 
 def scale_to_integers(values) -> tuple[list[int], int]:
@@ -419,58 +374,6 @@ def solve_affine(rows: Matrix, rhs: Sequence):
     return particular, null_basis
 
 
-def solve_in_span(basis: Matrix, targets: Matrix) -> list[list[Fraction]] | None:
-    """Coefficient rows ``C`` with ``C @ basis == targets``, or None.
-
-    ``basis`` rows must be linearly independent.
-    """
-    if not basis:
-        if any(any(x for x in target) for target in targets):
-            return None
-        return [[] for _ in targets]
-    r = len(basis)
-    rows = [
-        scale_to_integers([*column, *(target[j] for target in targets)])[0]
-        for j, column in enumerate(zip(*basis))
-    ]
-    rank = len(_bareiss(rows, r)[0])
-    if any(any(row[r:]) for row in rows[rank:]):
-        return None
-    if rank < r:
-        raise LinearAlgebraError("basis rows are linearly dependent")
-    den = rows[r - 1][r - 1]
-    return [[Fraction(rows[i][r + t], den) for i in range(r)] for t in range(len(targets))]
-
-
-def snf_index(sub: Matrix, sup: Matrix) -> int:
-    """Group index of the lattice spanned by ``sub`` inside ``sup``.
-
-    Both are basis rows (rational entries allowed).  Rejects rank
-    mismatches and non-contained sublattices.
-    """
-    if len(sub) != len(sup):
-        raise LinearAlgebraError("rank mismatch between sublattice and superlattice")
-    coeffs = solve_in_span(sup, sub)
-    if coeffs is None:
-        raise LinearAlgebraError("sublattice is not contained in the superlattice span")
-    scaled = []
-    for row in coeffs:
-        ints = []
-        for x in row:
-            frac = Fraction(x)
-            if frac.denominator != 1:
-                raise LinearAlgebraError("sublattice is not contained in the superlattice")
-            ints.append(frac.numerator)
-        scaled.append(ints)
-    diag = snf_diagonal(scaled)
-    index = 1
-    for d in diag:
-        if d == 0:
-            raise LinearAlgebraError("rank mismatch: sublattice is rank-deficient")
-        index *= d
-    return index
-
-
 def dual_lattice(basis: Matrix) -> tuple[list[list[int]], int]:
     """Basis of the dual lattice ``{w : <w, v> in Z for all lattice v}``.
 
@@ -486,8 +389,3 @@ def dual_lattice(basis: Matrix) -> tuple[list[list[int]], int]:
     # HNF(N) / den, because the HNF commutes with a positive scale, and
     # unimodular row steps keep the entries' gcd, so it stays coprime to den
     return row_basis(transpose(numerators)), den
-
-
-def gcd_over_basis(values: Sequence[int]) -> int:
-    """gcd of absolute values; 0 for empty or all-zero input."""
-    return math.gcd(*(abs(v) for v in values)) if values else 0

@@ -60,7 +60,7 @@ class TorusLoop:
 
     coeffs: tuple[int, ...]
     doubled: bool = True
-    samples: int = 0  # 0 = choose from the winding bound
+    samples: int = 0  # at least the count chosen from the winding bound
 
 
 def _gamma_array(system: QuadricSystem) -> np.ndarray:
@@ -196,8 +196,10 @@ def _loop_area(pairings: np.ndarray, loop: TorusLoop, point: RPoint) -> float:
     u = point.u
     _check_closure(loop, pairings, u)
     factor = 2.0 if loop.doubled else 1.0
-    samples = loop.samples or max(
-        DEFAULT_CONFIG.min_samples, 64 * (1 + int(factor * np.max(np.abs(pairings))))
+    samples = max(
+        loop.samples,
+        DEFAULT_CONFIG.min_samples,
+        64 * (1 + int(factor * np.max(np.abs(pairings)))),
     )
     s = (np.arange(samples) + 0.5) / samples
     theta = math.pi * factor * np.outer(pairings, s)
@@ -251,8 +253,10 @@ def _loop_maslov(
     reference = np.linalg.det(base)
     if abs(reference) < 1e-12:
         raise OracleError("frame degeneracy: determinant vanishes at the base point")
-    samples = loop.samples or max(
-        DEFAULT_CONFIG.min_samples, 16 + 8 * int(factor * np.sum(np.abs(pairings)))
+    samples = max(
+        loop.samples,
+        DEFAULT_CONFIG.min_samples,
+        16 + 8 * int(factor * np.sum(np.abs(pairings))),
     )
     while True:
         s = np.linspace(0.0, 1.0, samples + 1)

@@ -432,8 +432,7 @@ def is_delzant(poly: HPolytope, vertex_set: VertexSet) -> bool:
     if vertex_set.pointed and len(vertex_set.relations) < poly.dim:
         return all(v.minor == 1 for v in vertex_set.vertices)
     basis = normal_lattice_basis(poly)
-    # the k x k HNF basis is upper triangular, with its positive pivots on the diagonal
-    lattice_det = math.prod(basis[i][i] for i in range(poly.dim))
+    lattice_det = linalg.lattice_det(basis)
     for v in vertex_set.vertices:
         index, rem = divmod(v.minor, lattice_det)
         if rem:

@@ -139,16 +139,6 @@ def nondegeneracy(system: QuadricSystem, poly: HPolytope) -> bool:
     return is_simple(vertex_set, poly.dim)
 
 
-def augmented_canonical(system: QuadricSystem) -> list[list[Fraction]]:
-    """Canonical form of the augmented matrix [Gamma | delta] for comparisons."""
-    delta, scale = linalg.scale_to_integers(system.delta)
-    rows = [[*r, d] for r, d in zip(system.gamma, delta)]
-    return [
-        [Fraction(x) if j < system.n else Fraction(x, scale) for j, x in enumerate(row)]
-        for row in linalg.row_basis(rows)
-    ]
-
-
 def parse_quadrics(text: str | bytes) -> QuadricSystem:
     """Parse the quadric JSON schema ``{"Gamma": [[...]], "delta": [...]}``."""
     if isinstance(text, bytes):

@@ -194,6 +194,49 @@ class TestOracleCommand:
         area = next(r for r in records if r["check"].startswith("area"))
         assert area["expected"] == pytest.approx(6 * 3.141592653589793)
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # a non-strict redundancy: the loop lattice is unknown, so both check
+            # the doubled dual lattice
+            {"A": [[1, -1, 0, 0, 1], [0, 0, 1, -1, 1]], "b": [0, 2, 0, 2, 0]},
+            # unbounded: no redundancy analysis, and no error either
+            {"A": [[1, -1, 1, 0], [0, 0, 0, 1]], "b": [0, 1, 0, 1]},
+            "redundant-simplex:n=7,k=4",
+        ],
+        ids=["non-strict", "unbounded", "catalog"],
+    )
+    def test_loops_are_the_analyze_oracle_checks(self, capsys, tmp_path, source):
+        if isinstance(source, str):
+            argv = ["--family", source]
+        else:
+            path = tmp_path / "poly.json"
+            path.write_text(json.dumps(source))
+            argv = [str(path)]
+        code, out, err = run_cli(capsys, "oracle", *argv, "--seed", "3")
+        assert err == ""
+        analyzed, analyzed_out, _ = run_cli(capsys, "analyze", *argv, "--oracle", "--seed", "3")
+        assert analyzed == 0
+        checks = json.loads(analyzed_out)["oracle_checks"]
+        assert json.loads(out) == checks
+        assert code == (0 if all(r["pass"] for r in checks) else 1)
+
+    def test_small_explicit_samples_cannot_alias(self, capsys):
+        # two samples of (1,-1) land on the same phase; the count is raised to
+        # the one the winding bound chooses
+        code, out, _ = run_cli(
+            capsys, "oracle", "--family", PRODUCT_SPEC, "--loop", "1,-1", "--samples", "1"
+        )
+        assert code == 0
+        records = json.loads(out)
+        assert all(r["pass"] for r in records)
+        assert [r["actual"] for r in records if r["check"].startswith("maslov")] == [-8]
+
+    @pytest.mark.parametrize("command", ["oracle", "analyze"])
+    def test_negative_samples_exit_1(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--family", PRODUCT_SPEC, "--samples", "-3")
+        assert (code, out, err) == (1, "", "error: --samples must be at least 0\n")
+
     @pytest.mark.parametrize("loop", ["0,1_0", "0,x", "0,\u0661", "0,\u0663", "0,1.5"])
     def test_malformed_loop_exits_1(self, capsys, redundant_file, loop):
         code, out, err = run_cli(capsys, "oracle", str(redundant_file), "--loop", loop)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from delzant import linalg
 from delzant.invariants import (
     InvariantError,
+    LoopLattice,
     deck_data,
     delta_pairings,
     doubled_loop_lattice,
@@ -84,9 +86,6 @@ class TestLoopLattice:
         loops = loop_lattice(deck, [3, 4])
         assert loops.basis == ((2, 0), (0, 2))
         assert loops.index_in_dual == 4
-        assert loops.index_in_dual == linalg.snf_index(
-            [list(r) for r in loops.basis], linalg.identity(2)
-        )
 
     def test_fallback_doubled(self):
         deck = deck_data(circle_system())
@@ -119,7 +118,7 @@ class TestMaslovAreaReport:
         for n, k in [(9, 4), (13, 8), (31, 24)]:
             _, _, loops, report = analyze(redundant_simplex(n, k))
             assert report.maslov_values == (n - 1, 2 * k + 2)
-            assert report.minimal_maslov == linalg.gcd_over_basis([n - 1, 2 * k + 2])
+            assert report.minimal_maslov == math.gcd(n - 1, 2 * k + 2)
 
     def test_circle(self):
         q = circle_system()
@@ -227,6 +226,33 @@ def _random_unimodular(rng, d):
     return m
 
 
+class TestMinimalMaslov:
+    """N_L is the gcd of the Maslov values on the loop basis, 0 when they all vanish."""
+
+    def test_pair(self):
+        _, _, _, report = analyze(product_simplices(4, 10, 2))
+        assert report.maslov_values == (4, 8) and report.minimal_maslov == 4
+
+    def test_mixed_pair(self):
+        q, deck, loops, report = analyze(redundant_simplex(13, 8))
+        assert report.maslov_values == (12, 18) and report.minimal_maslov == 6
+        # the same lattice on a basis with a negative Maslov value
+        other = maslov_area_report(deck, q, LoopLattice(((1, 0), (-2, 2)), loops.index_in_dual))
+        assert other.maslov_values == (12, -6) and other.minimal_maslov == 6
+
+    def test_empty(self):
+        q = QuadricSystem((), ())
+        deck = deck_data(q)
+        report = maslov_area_report(deck, q, loop_lattice(deck, []))
+        assert report.loop_basis == () and report.minimal_maslov == 0
+
+    def test_all_zero(self):
+        q = QuadricSystem(((1, -1, 0, 0), (0, 0, 1, -1)), (Fraction(1), Fraction(1)))
+        deck = deck_data(q)
+        report = maslov_area_report(deck, q, loop_lattice(deck, []))
+        assert report.maslov_values == (0, 0) and report.minimal_maslov == 0
+
+
 class TestCrosscheck:
     def test_product_family_agrees_true(self):
         poly = product_simplices(4, 10, 2)
@@ -319,7 +345,7 @@ class TestLoopIndexBruteForce:
             assert all(type(x) is int for row in deck.pairings for x in row)
             strict = sorted(rng.sample(range(n), rng.randint(0, min(2, n))))
             loops = loop_lattice(deck, strict)
-            count = 0
+            even = []
             for bits in iproduct((0, 1), repeat=deck.rank):
                 vector = [
                     sum(
@@ -329,8 +355,11 @@ class TestLoopIndexBruteForce:
                     for r in range(deck.rank)
                 ]
                 if all(int(linalg.dot(vector, q.column(s))) % 2 == 0 for s in strict):
-                    count += 1
-            assert loops.index_in_dual == 2 ** deck.rank // count
+                    even.append(list(bits))
+            assert loops.index_in_dual == 2 ** deck.rank // len(even)
+            # the loops are the even {0,1} classes plus the doubled lattice
+            doubled = [[2 * x for x in row] for row in linalg.identity(deck.rank)]
+            assert [list(v) for v in loops.basis] == linalg.row_basis(even + doubled)
 
 
 class TestIntegerAreaPairings:

@@ -143,6 +143,17 @@ class TestLoopMaslov:
             loop = TorusLoop(coeffs, doubled=True)
             assert loop_maslov(q, loop, point) == expected_maslov(q, loop)
 
+    def test_explicit_samples_only_add_to_the_default(self):
+        # two samples of (1,-1) would land on the same phase after a whole turn,
+        # and one midpoint would double the area
+        q = polytope_to_quadrics(gen_product_simplices(4, 10, 2))
+        point = sample_point(q, family="product-simplices:p=4,n=10,k=2")
+        for samples in (1, 2, 5):
+            loop = TorusLoop((1, -1), doubled=True, samples=samples)
+            assert loop_maslov(q, loop, point) == expected_maslov(q, loop) == -8
+            assert loop_area(q, loop, point) == pytest.approx(closed_form_area(q, loop))
+            assert closed_form_area(q, loop) == pytest.approx(-4 * math.pi)
+
 
 class TestOracleChecks:
     def test_catalog_records_pass(self):
@@ -189,13 +200,28 @@ def stacked_cases():
     return out
 
 
+def maslov_floor(system, coeffs) -> int:
+    """The sample count the winding bound chooses for the doubled loop of ``coeffs``;
+    an explicit count below it is raised to it."""
+    pairings = oracle._loop_data(system, TorusLoop(coeffs)).pairings
+    return max(oracle.DEFAULT_CONFIG.min_samples, 16 + 16 * int(np.sum(np.abs(pairings))))
+
+
+def chunk_edges(system, coeffs) -> tuple[int, ...]:
+    """Explicit sample counts: one below the floor, the floor, and three whose
+    ``samples + 1`` frames lie on both sides of a multiple of the chunk size."""
+    floor = maslov_floor(system, coeffs)
+    edge = -(-(floor + 2) // oracle._DET_CHUNK) * oracle._DET_CHUNK
+    return (1, floor, edge - 2, edge - 1, edge)
+
+
 def per_sample_winding(system, loop, point) -> int:
     """The unstacked reference winding: one ``np.linalg.det`` call per sample."""
     pairings = oracle._loop_data(system, loop).pairings
     factor = 2.0 if loop.doubled else 1.0
     base = oracle._frame_matrix(system, point.u)
     reference = abs(np.linalg.det(base))
-    samples = loop.samples
+    samples = max(loop.samples, maslov_floor(system, loop.coeffs))
     while True:
         s = np.linspace(0.0, 1.0, samples + 1)
         phases = np.exp(1j * math.pi * factor * np.outer(s, pairings))
@@ -207,13 +233,10 @@ def per_sample_winding(system, loop, point) -> int:
         samples *= 2
 
 
-CHUNK_EDGES = (1, 127, 128, 129, 300)
-
-
 class TestStackedDeterminant:
     def test_winding_matches_per_sample_loop(self):
         for q, point, coeffs in stacked_cases():
-            for samples in CHUNK_EDGES:
+            for samples in chunk_edges(q, coeffs):
                 loop = TorusLoop(coeffs, doubled=True, samples=samples)
                 assert loop_maslov(q, loop, point) == per_sample_winding(q, loop, point)
 
@@ -229,8 +252,14 @@ class TestStackedDeterminant:
 
         monkeypatch.setattr(np.linalg, "det", recording)
         for q, point, coeffs in stacked_cases()[::3]:
-            for samples in CHUNK_EDGES:
+            floor = maslov_floor(q, coeffs)
+            for samples in chunk_edges(q, coeffs):
+                start = len(stacks)
                 loop_maslov(q, TorusLoop(coeffs, doubled=True, samples=samples), point)
+                # the first pass takes max(samples, floor) + 1 frames
+                frames = max(samples, floor) + 1
+                chunks = -(-frames // oracle._DET_CHUNK)
+                assert sum(len(a) for a, _ in stacks[start : start + chunks]) == frames
         monkeypatch.undo()
         assert stacks
         assert max(len(a) for a, _ in stacks) == oracle._DET_CHUNK
@@ -249,7 +278,7 @@ class TestStackedDeterminant:
             return frame
 
         monkeypatch.setattr(oracle, "_frame_matrix", zero_column)
-        for samples in CHUNK_EDGES:
+        for samples in chunk_edges(q, (1, 1)):
             with pytest.raises(OracleError, match="frame degeneracy"):
                 loop_maslov(q, TorusLoop((1, 1), samples=samples), point)
 

@@ -428,14 +428,28 @@ class TestStructureReport:
 
 class TestDelzantIndexAgreement:
     def test_vertex_index_matches_snf(self):
-        # the determinant ratio used by is_delzant equals the group index
+        # the determinant ratio used by is_delzant equals the group index: the
+        # product of the Smith normal form of the active normals' coefficients
+        # in the lattice basis
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
         poly = HPolytope(
             2, ((1, 0), (0, 1), (-1, -2)), (Fraction(0), Fraction(0), Fraction(2))
         )
         vs = enumerate_vertices(poly)
         basis = linalg.row_basis([list(a) for a in poly.normals])
         lattice_det = abs(linalg.det(basis))
+        inverse, den = linalg.inverse(basis)
+        ratios = []
         for v in vs.vertices:
             active = [list(poly.normals[i]) for i in v.active]
             ratio = abs(linalg.det(active)) // lattice_det
-            assert ratio == linalg.snf_index(active, basis)
+            # active == (scaled / den) @ basis, with integer coefficients
+            scaled = linalg.mat_mul(active, inverse)
+            assert all(x % den == 0 for row in scaled for x in row)
+            coeffs = sympy.Matrix([[x // den for x in row] for row in scaled])
+            snf = smith_normal_form(coeffs, domain=sympy.ZZ)
+            assert ratio == abs(snf[0, 0] * snf[1, 1])
+            ratios.append(ratio)
+        assert sorted(ratios) == [1, 1, 2]

@@ -1,9 +1,13 @@
-"""No module of the library imports a name it never uses.
+"""No module of the library imports a name it never uses, and no module-private
+top-level name goes unread.
 
 The check reads each source file with the standard ``ast`` module: a name
 bound by an ``import`` statement (at any depth) counts as used when a
 ``Name`` node anywhere in the module reads it, or when the module lists it
 in ``__all__``.  ``from __future__`` imports are directives, not names.
+A top-level function, class or constant named ``_name`` counts as read when
+any module of the library loads it as a ``Name``, reads it as an attribute
+(``linalg._bareiss``) or imports it.
 """
 
 import ast
@@ -52,3 +56,73 @@ def test_the_check_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """Top-level ``_name`` functions, classes and constants, in source order."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def names_read(source: str) -> set[str]:
+    """Every name the module loads, reads as an attribute or imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each private top-level name that no module reads."""
+    read = set().union(*(names_read(source) for source in sources.values()))
+    return [
+        f"{module}:{name}"
+        for module, source in sources.items()
+        for name in private_definitions(source)
+        if name not in read
+    ]
+
+
+def test_the_check_sees_unread_private_names():
+    sources = {
+        "a.py": (
+            "__all__ = ['f']\n"
+            "_LIMIT = 3\n"
+            "_UNUSED: int = 4\n"
+            "def _helper(x):\n"
+            "    return x\n"
+            "def _called_elsewhere():\n"
+            "    pass\n"
+            "def _imported_elsewhere():\n"
+            "    pass\n"
+            "def _dead():\n"
+            "    _dead_local = 1\n"
+            "class _Dead:\n"
+            "    def _method(self):\n"
+            "        pass\n"
+            "def f():\n"
+            "    return _helper(_LIMIT)\n"
+        ),
+        "b.py": (
+            "from . import a\n"
+            "from .a import _imported_elsewhere\n"
+            "a._called_elsewhere()\n"
+        ),
+    }
+    assert unread_private_names(sources) == ["a.py:_UNUSED", "a.py:_dead", "a.py:_Dead"]
+
+
+def test_no_unread_private_name():
+    sources = {path.name: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -31,7 +31,7 @@ from .quadrics import (
     quadrics_to_polytope,
 )
 from .reproduce import run_suite
-from .spectral import ProfileError, admissible_maslov, parse_profile, profile_to_json, run_engine
+from .spectral import ProfileError, parse_profile, profile_to_json, run_engine
 
 USER_ERRORS = (
     PolytopeFormatError,
@@ -104,21 +104,24 @@ def cmd_obstruct(args) -> int:
     else:
         raise PolytopeFormatError("either a profile file or --family is required")
     n_max = args.nmax if args.nmax is not None else profile.l_dim
-    admissible = admissible_maslov(profile, n_max)
+    if n_max < 2:
+        raise ValueError(f"dim L = {profile.l_dim} leaves no Maslov candidate in [2, dim L]")
+    admissible = []
     excluded = []
     for n in range(2, n_max + 1):
-        if n in admissible:
-            continue
         if profile.orientable and n % 2:
             excluded.append({"n": n, "reason": "parity"})
             continue
         result = run_engine(profile, n)
-        excluded.append({"n": n, "witness_degree": result.witness_degree})
+        if result.excluded:
+            excluded.append({"n": n, "witness_degree": result.witness_degree})
+        else:
+            admissible.append(n)
     _emit(
         {
             "profile": profile_to_json(profile),
             "n_max": n_max,
-            "admissible": sorted(admissible),
+            "admissible": admissible,
             "excluded": excluded,
         }
     )

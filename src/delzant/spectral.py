@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import product
 from typing import Mapping
 
 from .polytopes import PolytopeFormatError, parse_bool, parse_integer
@@ -156,67 +156,84 @@ def brute_force_vanishes(profile: HomologyProfile, n: int) -> bool:
     if n < 2:
         raise ValueError("Maslov candidates start at 2")
     _check_model(profile)
-    degrees = sorted(profile.as_dict())
-    start = tuple(profile.as_dict().get(d, 0) for d in degrees)
-    pages = collapse_page(profile.l_dim, n)
+    degrees = [d for d, _ in profile.dims]
     index = {d: i for i, d in enumerate(degrees)}
-
-    @lru_cache(maxsize=None)
-    def reachable(page: int, dims: tuple[int, ...]) -> bool:
-        if not any(dims):
-            return True
-        if page >= pages:
-            return False
+    pages = collapse_page(profile.l_dim, n)
+    # page r's differential runs along its chains: the maximal runs
+    # d, d + shift, d + 2 shift, ... of degrees present, as index tuples
+    chains: dict[int, list[tuple[int, ...]]] = {}
+    for page in range(1, pages):
         shift = page * n - 1
-        chains: list[list[int]] = []
-        seen: set[int] = set()
+        chains[page] = []
         for d in degrees:
-            if d in seen:
+            if d - shift in index:
                 continue
             chain = []
-            cur = d
-            while cur in index and cur not in seen:
-                seen.add(cur)
-                chain.append(cur)
-                cur += shift
-            chains.append(chain)
+            while d in index:
+                chain.append(index[d])
+                d += shift
+            chains[page].append(tuple(chain))
+    # a degree stuck from page p is alone in its chain on every page from p
+    # on, so its dimension never changes again; page p's outcomes must leave
+    # zero on the degrees stuck from p + 1
+    stuck = set(range(len(degrees)))
+    masks: dict[int, list[tuple[bool, ...]]] = {}
+    for page in range(pages - 1, 0, -1):
+        masks[page] = [tuple(i in stuck for i in chain) for chain in chains[page]]
+        stuck &= {chain[0] for chain in chains[page] if len(chain) == 1}
+    if stuck:
+        return False
 
-        per_chain_outcomes: list[list[tuple[int, ...]]] = []
-        for chain in chains:
-            vals = [dims[index[d]] for d in chain]
-            outcomes: list[tuple[int, ...]] = []
+    def dies(vals: tuple[int, ...]) -> bool:
+        # a chain dies in one page iff its ranks telescope to zero
+        rank = 0
+        for v in vals:
+            rank = v - rank
+            if rank < 0:
+                return False
+        return rank == 0
 
-            def walk(pos: int, prev_rank: int, acc: tuple[int, ...]):
-                if pos == len(vals):
-                    outcomes.append(acc)
-                    return
-                remaining = vals[pos] - prev_rank
-                if remaining < 0:
-                    return
-                if pos == len(vals) - 1:
-                    walk(pos + 1, 0, acc + (remaining,))
-                    return
-                max_rank = min(remaining, vals[pos + 1])
-                for rank in range(max_rank + 1):
-                    walk(pos + 1, rank, acc + (remaining - rank,))
+    outcomes_of: dict[tuple, list[tuple[int, ...]]] = {}
 
-            walk(0, 0, ())
-            per_chain_outcomes.append(sorted(set(outcomes)))
+    def outcomes(vals: tuple[int, ...], mask: tuple[bool, ...]) -> list[tuple[int, ...]]:
+        # every dimension tuple a chain can keep: the rank out of each degree
+        # is bounded by what the rank into it left and by the next degree (0
+        # past the end); a degree that must die passes on all it has left
+        if (vals, mask) not in outcomes_of:
+            partial = [((), 0)]
+            for v, nxt, must_die in zip(vals, vals[1:] + (0,), mask):
+                partial = [
+                    (kept + (v - prev - rank,), rank)
+                    for kept, prev in partial
+                    for rank in ((v - prev,) if must_die else range(min(v - prev, nxt) + 1))
+                    if rank <= nxt
+                ]
+            outcomes_of[vals, mask] = [kept for kept, _ in partial]
+        return outcomes_of[vals, mask]
 
-        def combine(ci: int, dims_acc: dict[int, int]) -> bool:
-            if ci == len(chains):
-                new_dims = tuple(dims_acc[d] for d in degrees)
-                return reachable(page + 1, new_dims)
-            for outcome in per_chain_outcomes[ci]:
-                for d, v in zip(chains[ci], outcome):
-                    dims_acc[d] = v
-                if combine(ci + 1, dims_acc):
-                    return True
-            return False
+    reached: dict[tuple[int, tuple[int, ...]], bool] = {}
 
-        return combine(0, {})
+    def reachable(page: int, dims: tuple[int, ...]) -> bool:
+        if page == pages - 1:
+            return all(dies(tuple(dims[i] for i in chain)) for chain in chains[page])
+        if (page, dims) not in reached:
+            options = [
+                outcomes(tuple(dims[i] for i in chain), mask)
+                for chain, mask in zip(chains[page], masks[page])
+            ]
+            found = False
+            for choice in product(*options):
+                after = list(dims)
+                for chain, kept in zip(chains[page], choice):
+                    for i, v in zip(chain, kept):
+                        after[i] = v
+                if reachable(page + 1, tuple(after)):
+                    found = True
+                    break
+            reached[page, dims] = found
+        return reached[page, dims]
 
-    return reachable(1, start)
+    return reachable(1, tuple(v for _, v in profile.dims))
 
 
 def parse_profile(text: str | bytes) -> HomologyProfile:

@@ -171,6 +171,13 @@ class TestObstruct:
         )
         assert code == 1 and "nmax" in err
 
+    def test_small_l_dim_names_dim_l(self, capsys, tmp_path):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"dims": {"0": 1, "1": 1}, "L_dim": 1, "orientable": True}))
+        code, out, err = run_cli(capsys, "obstruct", str(profile))
+        assert code == 1 and out == ""
+        assert "dim L = 1 leaves no Maslov candidate" in err and "nmax" not in err
+
 
 class TestOracleCommand:
     def test_family_loops(self, capsys):

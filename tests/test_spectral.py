@@ -20,6 +20,7 @@ from delzant.spectral import (
     run_engine,
 )
 
+from . import spectral_reference
 from .test_polytopes import coercible_numbers
 
 
@@ -193,6 +194,32 @@ class TestBruteForce:
         # two classes in degree 3 cannot both cancel against single neighbors
         profile = HomologyProfile.from_dims({0: 1, 3: 2}, 5, orientable=True)
         assert not brute_force_vanishes(profile, 4)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_s3_s5_vanishes_at_admissible_n(self, n):
+        assert brute_force_vanishes(sphere_product(4, 6, 10), n)
+
+    def test_cancellation_over_two_pages(self):
+        # pages 1-3 shift by 1, 3 and 5.  No page clears all four classes:
+        # page 1 never touches 5, page 2 never touches 0 or 1, page 3 never
+        # touches 1 or 2.  Page 1 cancels 0 against 1, page 2 then 2 against 5.
+        profile = HomologyProfile.from_dims({0: 1, 1: 1, 2: 1, 5: 1}, 5, orientable=True)
+        assert collapse_page(5, 2) == 4
+        assert brute_force_vanishes(profile, 2)
+
+    def test_agrees_with_exhaustive_reference(self):
+        rng = random.Random(2027)
+        pairs = []
+        while len(pairs) < 2000:
+            profile = _random_profile(rng, max_total=12, max_l=14)
+            pairs += [(profile, n) for n in range(2, profile.l_dim + 1)]
+        answers = []
+        for profile, n in pairs:
+            expected = spectral_reference.brute_force_vanishes(profile, n)
+            assert brute_force_vanishes(profile, n) is expected, (profile, n)
+            answers.append(expected)
+        assert sum(answers) >= 50
+        assert sum(collapse_page(p.l_dim, n) >= 4 for p, n in pairs) >= 100
 
     def test_engine_is_conservative_on_random_profiles(self):
         rng = random.Random(101)

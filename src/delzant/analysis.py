@@ -103,7 +103,7 @@ def analyze_polytope(
 ) -> AnalysisReport:
     """Run the whole pipeline on one presentation."""
     system = polytope_to_quadrics(poly)
-    structure = structure_report(poly, budget, system.gamma)
+    structure = structure_report(poly, budget)
     deck = inv.deck_data(system)
     non_strict = set(structure.redundant) - set(structure.strict_redundant)
     if non_strict:

@@ -3,11 +3,11 @@
 Two families of presentations are generated: twisted products of two
 simplices (n inequalities in R^(n-2), twist parameter k) and the simplex
 with one extra inequality that the other n-1 imply (again n inequalities
-in R^(n-2)).  The realization enumerators sweep the twist parameter and
-compare the resulting minimal Maslov numbers with the predicted divisor
-sets.  Topology recognition matches a quadric system against a fixed
-catalog (sphere, product of two spheres, and their redundant doublings)
-and reports Unknown otherwise.  The spec grammar ``name:key=value,...`` is
+in R^(n-2)).  The redundant family's realization enumerator sweeps the
+twist parameter and compares the closed-form minimal Maslov numbers with
+the predicted divisor sets.  Topology recognition matches a quadric
+system against a fixed catalog (sphere, product of two spheres, and their
+redundant doublings) and reports Unknown otherwise.  The spec grammar ``name:key=value,...`` is
 parsed here only; ``family_spec`` names a catalog system by the spec that
 ``parse_family_spec`` reads back.
 """
@@ -94,27 +94,6 @@ def gen_redundant_simplex(n: int, k: int) -> HPolytope:
 
 def even_divisors(value: int) -> set[int]:
     return {d for d in range(2, value + 1, 2) if value % d == 0}
-
-
-def product_simplices_realized_divisors(p: int, n: int) -> dict[int, int]:
-    """Realized gcd(p, n-p+k) over even twists, with the least witness per value.
-
-    Requires even p, n with n >= 2p; asserts the realized set equals the
-    even divisors of p.
-    """
-    if p % 2 or n % 2 or p < 2 or n < 2 * p:
-        raise ValueError("requires even p >= 2 and even n >= 2p")
-    witnesses: dict[int, int] = {}
-    for k in range(0, p - 1, 2):
-        value = math.gcd(p, n - p + k)
-        witnesses.setdefault(value, k)
-    expected = even_divisors(p)
-    if set(witnesses) != expected:
-        raise AssertionError(
-            f"realized divisors {sorted(witnesses)} differ from even divisors "
-            f"{sorted(expected)} of {p}"
-        )
-    return dict(sorted(witnesses.items()))
 
 
 def redundant_simplex_predicted_divisors(n: int) -> set[int]:

@@ -189,10 +189,6 @@ def _check_closure(loop: TorusLoop, pairings: np.ndarray, u: np.ndarray):
 def loop_area(system: QuadricSystem, loop: TorusLoop, point: RPoint) -> float:
     """Liouville-form integral along the realized loop by composite quadrature."""
     pairings = _loop_data(system, loop).pairings
-    return _loop_area(pairings, loop, point)
-
-
-def _loop_area(pairings: np.ndarray, loop: TorusLoop, point: RPoint) -> float:
     u = point.u
     _check_closure(loop, pairings, u)
     factor = 2.0 if loop.doubled else 1.0
@@ -240,12 +236,6 @@ def loop_maslov(system: QuadricSystem, loop: TorusLoop, point: RPoint) -> int:
     within ``winding_turn_tol`` of an integer.
     """
     pairings = _loop_data(system, loop).pairings
-    return _loop_maslov(system, pairings, loop, point)
-
-
-def _loop_maslov(
-    system: QuadricSystem, pairings: np.ndarray, loop: TorusLoop, point: RPoint
-) -> int:
     u = point.u
     _check_closure(loop, pairings, u)
     factor = 2.0 if loop.doubled else 1.0
@@ -317,9 +307,9 @@ def oracle_checks(
     ]
     for loop in loops:
         label = "(" + ",".join(str(c) for c in loop.coeffs) + ")"
-        data = _loop_data(system, loop)
-        area = _loop_area(data.pairings, loop, point)
-        records.append(check_record(f"area{label}", data.area, area, DEFAULT_CONFIG.area_rtol))
-        winding = _loop_maslov(system, data.pairings, loop, point)
-        records.append(check_record(f"maslov{label}", data.maslov, winding, 0))
+        area = loop_area(system, loop, point)
+        expected_area = closed_form_area(system, loop)
+        records.append(check_record(f"area{label}", expected_area, area, DEFAULT_CONFIG.area_rtol))
+        winding = loop_maslov(system, loop, point)
+        records.append(check_record(f"maslov{label}", expected_maslov(system, loop), winding, 0))
     return records

@@ -5,9 +5,19 @@ normals ``a_i`` and rational offsets ``b_i``.  All geometry here is done
 in exact rational arithmetic; there is no floating point.
 
 A presentation's relation rows ``Gamma`` (a saturated basis of the integer
-relations among the normals, m = n - k rows when the normals span) are
-computed once and its vertices enumerated once; every predicate reads its
-answer from that result.  Vertices come from basis solving on the side
+relations among the normals, m = n - k rows when the normals span), its
+offsets over their common denominator and ``Gamma`` applied to them are
+computed once, on first use, as cached properties of ``HPolytope``; the
+quadric system reads them from there.  ``Gamma`` is stored in a canonical
+form so equal presentations give bit-equal rows: the Hermite normal form
+computed with pivot columns sought from the last inequality backwards
+("slack-ordered").  Appended slack inequalities, like the redundant
+inequalities of the simplex families, then own their pivot row, which
+keeps the per-row invariants aligned with the natural presentation of
+those families.
+
+The vertices are enumerated once, and every predicate reads its answer
+from that result.  Vertices come from basis solving on the side
 with the smaller square systems: k-subsets of the inequalities when
 k <= m, else m-subsets B of the Gale dual ``Gamma s = Gamma b, s >= 0``
 (both sides try C(n, k) = C(n, m) subsets).  Boundedness, the feasibility
@@ -20,13 +30,16 @@ The subset loops stay in integers: each basis solve is integer numerators
 over ``d = |det|`` of its basis matrix, and feasibility, deduplication and
 the vertex order are decided on integers; a vertex's point becomes
 Fractions only when it is read.  A simple vertex is reached from exactly
-one basis, so its Delzant index comes from that solve: ``d`` is
-``|det A_S|`` of its active normals on the primal side and the m x m minor
-``|det Gamma_B|`` on the complement B of its active set on the Gale side.
+one basis, so its index, that of its active normals' sublattice in the
+normal lattice L, comes from that solve: it is ``|det A_S| / det L`` on
+the primal side and the m x m minor ``|det Gamma_B|`` on the complement B
+of its active set on the Gale side, which are equal for a saturated
+``Gamma``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -58,10 +71,6 @@ class SubsetBudgetError(PolytopeError):
         self.budget = budget
 
 
-class LatticeRankError(PolytopeError):
-    """The normal lattice does not have full rank."""
-
-
 @dataclass(frozen=True)
 class HPolytope:
     """Inequalities ``<a_i, x> + b_i >= 0`` with ``a_i = normals[i]``."""
@@ -87,49 +96,72 @@ class HPolytope:
         """The k x n matrix whose columns are the normals."""
         return [[a[r] for a in self.normals] for r in range(self.dim)]
 
+    @functools.cached_property
+    def relations(self) -> tuple[tuple[int, ...], ...]:
+        """``Gamma``: the saturated basis of the integer relations among the
+        normals (Z^n when k = 0), in slack-ordered Hermite normal form.
+
+        ``integer_kernel`` returns the HNF of the kernel; run on the normals
+        in reverse order, its pivots are sought from the last inequality
+        backwards, and the rows come back reversed, ordered by ascending
+        pivot column.
+        """
+        if not self.dim:
+            return tuple(map(tuple, linalg.identity(self.n)))
+        kernel = linalg.integer_kernel([row[::-1] for row in self.matrix()])
+        return tuple(tuple(row[::-1]) for row in reversed(kernel))
+
+    @functools.cached_property
+    def integer_offsets(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, e)``: the offsets are ``e / scale``, with ``scale`` the lcm
+        of their denominators."""
+        offsets, scale = linalg.scale_to_integers(self.offsets)
+        return scale, tuple(offsets)
+
+    @functools.cached_property
+    def relation_values(self) -> tuple[int, ...]:
+        """``Gamma e``: the slack vectors ``s = A^T x + b`` of the points x,
+        scaled by ``scale``, are the solutions of ``Gamma s = Gamma e``."""
+        offsets = self.integer_offsets[1]
+        return tuple(linalg.dot(row, offsets) for row in self.relations)
+
 
 @dataclass(frozen=True)
 class Vertex:
     """The point ``numerators / den`` (lowest terms, ``den > 0``) and the
     indices tight at it.
 
-    ``minor`` is the ``d = |det|`` of the basis solve the vertex was first
-    reached from: the active normals ``A_S`` on the primal side, ``Gamma_B``
-    on the complement of the active set on the Gale side.  It is not reduced
-    with the point; a simple vertex has exactly one such basis.
+    ``index`` is the index, in the normal lattice L, of the sublattice
+    spanned by the k normals S of the basis the vertex was first reached
+    from, read off that basis solve: ``|det A_S| / det L`` on the primal
+    side and ``|det Gamma_B|`` for the complement B of S on the Gale side.
+    A simple vertex has exactly one such basis, its active set.
     """
 
     numerators: tuple[int, ...]
     den: int
     active: tuple[int, ...]
-    minor: int
+    index: int
 
     @property
     def point(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.numerators)
 
 
-def _vertex(numerators, den: int, active, minor: int) -> Vertex:
+def _vertex(numerators, den: int, active, index: int) -> Vertex:
     """A ``Vertex`` with ``numerators / den`` brought to lowest terms."""
     g = math.gcd(den, *numerators)
-    return Vertex(tuple(x // g for x in numerators), den // g, tuple(active), minor)
+    return Vertex(tuple(x // g for x in numerators), den // g, tuple(active), index)
 
 
 @dataclass(frozen=True)
 class VertexSet:
-    """The vertices of a presentation and the relation rows they were found with.
-
-    ``relations`` is the saturated basis ``Gamma`` of the integer relations
-    among the normals that the enumeration used; with fewer rows than the
-    dimension the enumeration ran on the Gale side, and each vertex's
-    ``minor`` is a minor of it.
-    """
+    """The vertices of a presentation, with its emptiness and boundedness flags."""
 
     vertices: tuple[Vertex, ...]
     bounded: bool
     empty: bool
     pointed: bool
-    relations: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -248,19 +280,6 @@ def _check_budget(stage: str, n: int, size: int, budget: int) -> None:
         raise SubsetBudgetError(stage, requested, budget)
 
 
-def _relation_rows(poly: HPolytope) -> list[list[int]]:
-    """Saturated basis of the integer relations among the normals (Z^n when k = 0)."""
-    return linalg.integer_kernel(poly.matrix()) if poly.dim else linalg.identity(poly.n)
-
-
-def _slack_system(poly: HPolytope, relations) -> tuple[int, list[int], list[int]]:
-    """``(scale, scale * b, Gamma (scale * b))`` with ``scale`` the offsets'
-    denominator lcm: the slack vectors ``s = A^T x + b`` of the points x,
-    scaled, are the solutions of ``Gamma s = Gamma (scale * b)``."""
-    offsets, scale = linalg.scale_to_integers(poly.offsets)
-    return scale, offsets, [linalg.dot(row, offsets) for row in relations]
-
-
 def _simplex(stage: str, budget: int, rows, rhs, cost=None):
     """``linalg.simplex`` with its basis budget reported as a ``SubsetBudgetError``."""
     try:
@@ -269,21 +288,21 @@ def _simplex(stage: str, budget: int, rows, rhs, cost=None):
         raise SubsetBudgetError(stage, budget + 1, budget) from None
 
 
-def _bounded(relations, n: int, budget: int) -> bool:
+def _bounded(poly: HPolytope, budget: int) -> bool:
     """Whether a pointed presentation has no recession direction d != 0.
 
     The values ``y = A^T d`` of the normals on the directions d are the
     solutions of ``Gamma y = 0``; a recession direction is one with y >= 0,
     and y != 0 because the normals span, so it scales to ``1 . y = 1``.
     """
-    rhs = [0] * len(relations) + [1]
-    return _simplex("boundedness LP (bases)", budget, [*relations, [1] * n], rhs) == "infeasible"
+    rows = [*poly.relations, [1] * poly.n]
+    rhs = [0] * len(poly.relations) + [1]
+    return _simplex("boundedness LP (bases)", budget, rows, rhs) == "infeasible"
 
 
 def is_bounded(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> bool:
     """Exact boundedness: full-rank normals and no recession direction (one LP)."""
-    relations = _relation_rows(poly)
-    return len(relations) == poly.n - poly.dim and _bounded(relations, poly.n, budget)
+    return len(poly.relations) == poly.n - poly.dim and _bounded(poly, budget)
 
 
 def _primal_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
@@ -291,10 +310,13 @@ def _primal_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
 
     With e the offsets scaled by their common denominator, ``A_S y = -e_S``
     gives the scaled point ``y = N / d`` with ``d = |det A_S|``; it is
-    feasible when ``<a_i, N> + d * e_i >= 0`` for every i.
+    feasible when ``<a_i, N> + d * e_i >= 0`` for every i.  The normals
+    span R^k, so the active normals span a sublattice of index
+    ``d / det L`` in the normal lattice L.
     """
-    scale, offsets, _ = _slack_system(poly, ())
+    scale, offsets = poly.integer_offsets
     _check_budget("vertex enumeration (k-subsets)", poly.n, poly.dim, budget)
+    lattice = linalg.lattice_det(linalg.row_basis(poly.normals))
     seen = set()
     vertices = []
     for subset in combinations(range(poly.n), poly.dim):
@@ -317,11 +339,11 @@ def _primal_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
             if not value:
                 active.append(i)
         else:
-            vertices.append(_vertex(nums, d * scale, active, d))
+            vertices.append(_vertex(nums, d * scale, active, d // lattice))
     return vertices
 
 
-def _gale_vertices(poly: HPolytope, relations, budget: int) -> list[Vertex]:
+def _gale_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
     """Vertices from the basic feasible slack vectors of ``Gamma s = Gamma b, s >= 0``.
 
     Each m-subset B with ``Gamma_B`` nonsingular gives ``s_B = Gamma_B^-1 Gamma b``
@@ -334,9 +356,10 @@ def _gale_vertices(poly: HPolytope, relations, budget: int) -> list[Vertex]:
     numerators over one denominator; as s has at most m nonzero entries,
     each point is ``A_T^-1 b_T`` plus at most m columns of the inverse.
     """
+    relations, rhs = poly.relations, poly.relation_values
     n, m = poly.n, len(relations)
     _check_budget("vertex enumeration (Gale m-subsets)", n, m, budget)
-    scale, offsets, rhs = _slack_system(poly, relations)
+    scale, offsets = poly.integer_offsets
     cols = [tuple(row[j] for row in relations) for j in range(n)]
     seen = set()
     vertices = []
@@ -371,38 +394,24 @@ def _gale_vertices(poly: HPolytope, relations, budget: int) -> list[Vertex]:
     return vertices
 
 
-def enumerate_vertices(
-    poly: HPolytope,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-    relations: Sequence[Sequence[int]] | None = None,
-) -> VertexSet:
+def enumerate_vertices(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> VertexSet:
     """All vertices with their full active sets, plus emptiness/boundedness flags.
 
-    ``relations``, when given, must be a saturated basis of the integer
-    relations among the normals (the ``Gamma`` of the quadric system); it is
-    computed otherwise.  The enumeration runs on the side with the smaller
-    square systems: k-subsets when k <= m, Gale m-subsets when m < k.  A
-    system whose normals do not span R^k has no vertices; its feasibility is
-    still decided (by one LP on ``Gamma``) and reported through the flags.
+    The enumeration runs on the side with the smaller square systems:
+    k-subsets when k <= m, Gale m-subsets when m < k.  A system whose
+    normals do not span R^k has no vertices; its feasibility is still
+    decided (by one LP on ``Gamma``) and reported through the flags.
     """
-    k, n = poly.dim, poly.n
-    if relations is None:
-        relations = _relation_rows(poly)
-    relations = tuple(tuple(row) for row in relations)
-    if len(relations) != n - k:
-        rhs = _slack_system(poly, relations)[2]
-        empty = _simplex("feasibility LP (bases)", budget, relations, rhs) == "infeasible"
-        return VertexSet((), False, empty, False, relations)
-    if len(relations) < k:
-        vertices = _gale_vertices(poly, relations, budget)
-    else:
-        vertices = _primal_vertices(poly, budget)
+    m, k = len(poly.relations), poly.dim
+    if m != poly.n - k:
+        minimum = _simplex("feasibility LP (bases)", budget, poly.relations, poly.relation_values)
+        return VertexSet((), False, minimum == "infeasible", False)
+    vertices = _gale_vertices(poly, budget) if m < k else _primal_vertices(poly, budget)
     if not vertices:
-        return VertexSet((), True, True, True, relations)
+        return VertexSet((), True, True, True)
     common = math.lcm(*(v.den for v in vertices))
     vertices.sort(key=lambda v: [x * (common // v.den) for x in v.numerators])
-    bounded = _bounded(relations, n, budget)
-    return VertexSet(tuple(vertices), bounded, False, True, relations)
+    return VertexSet(tuple(vertices), _bounded(poly, budget), False, True)
 
 
 def is_simple(vertex_set: VertexSet, dim: int) -> bool:
@@ -410,59 +419,36 @@ def is_simple(vertex_set: VertexSet, dim: int) -> bool:
     return all(len(v.active) == dim for v in vertex_set.vertices)
 
 
-def normal_lattice_basis(poly: HPolytope) -> list[list[int]]:
-    basis = linalg.row_basis([list(a) for a in poly.normals])
-    if len(basis) < poly.dim:
-        raise LatticeRankError(
-            f"normal lattice has rank {len(basis)} < ambient dimension {poly.dim}"
-        )
-    return basis
-
-
 def is_delzant(poly: HPolytope, vertex_set: VertexSet) -> bool:
     """At every vertex the active normals are a basis of the normal lattice.
 
-    Requires a simple presentation.  The index of the active sublattice is
-    read off each vertex's ``minor``: it is ``|det Gamma_B|`` on the inactive
-    set B when m < k (for a saturated ``Gamma``), and
-    ``|det(active normals)| / |det(lattice basis)|`` otherwise.
+    Requires a simple presentation whose normals span R^k; its vertices'
+    ``index`` is that of their active normals' sublattice.
     """
-    if not is_simple(vertex_set, poly.dim):
-        raise PolytopeError("Delzant test requires a simple presentation")
-    if vertex_set.pointed and len(vertex_set.relations) < poly.dim:
-        return all(v.minor == 1 for v in vertex_set.vertices)
-    basis = normal_lattice_basis(poly)
-    lattice_det = linalg.lattice_det(basis)
-    for v in vertex_set.vertices:
-        index, rem = divmod(v.minor, lattice_det)
-        if rem:
-            raise LatticeRankError("active normals leave the normal lattice")
-        if index != 1:
-            return False
-    return True
+    if not (vertex_set.pointed and is_simple(vertex_set, poly.dim)):
+        raise PolytopeError("Delzant test requires a simple presentation with spanning normals")
+    return all(v.index == 1 for v in vertex_set.vertices)
 
 
-def is_fano(poly: HPolytope, relations: Sequence[Sequence[int]] | None = None):
+def is_fano(poly: HPolytope):
     """Fano up to translation.
 
     True iff every normal is primitive and there are ``C > 0`` and rational
     ``y`` with ``b - C*1 = A^T y``, i.e. translating by ``-y`` makes every
     offset equal to ``C``.  Returns ``(flag, C, y)``.
 
-    The image of ``A^T`` is the kernel of the relation rows ``Gamma``
-    (``relations``, computed when not given), so C is read off
-    ``Gamma b = C * Gamma 1``; when ``Gamma 1 = 0`` every C works and 1 is
-    reported.  y is unique when the normals span R^k; otherwise the
-    solution supported on the pivot columns of their elimination is
-    reported.
+    The image of ``A^T`` is the kernel of the relation rows ``Gamma``, so C
+    is read off ``Gamma b = C * Gamma 1``; when ``Gamma 1 = 0`` every C
+    works and 1 is reported.  y is unique when the normals span R^k;
+    otherwise the solution supported on the pivot columns of their
+    elimination is reported.
     """
     for a in poly.normals:
         if math.gcd(*(abs(x) for x in a)) != 1:
             return False, None, None
-    if relations is None:
-        relations = _relation_rows(poly)
-    ones = [sum(row) for row in relations]
-    scale, offsets, values = _slack_system(poly, relations)  # values = scale * Gamma b
+    ones = [sum(row) for row in poly.relations]
+    scale, offsets = poly.integer_offsets
+    values = poly.relation_values  # scale * Gamma b
     # C = p / q off the first row with a nonzero Gamma 1, compared by cross-multiplying
     p, q = next(((v, scale * x) for v, x in zip(values, ones) if x), (1, 1))
     if p * q <= 0 or any(v * q != p * scale * x for v, x in zip(values, ones)):
@@ -524,13 +510,12 @@ def redundancy(
         flags = _incidence_redundancy(poly.n, vertex_set.vertices)
         if flags is not None:
             return flags
-    rhs = _slack_system(poly, vertex_set.relations)[2]
     flags = {}
     for i in range(poly.n):
         # s_i is free: it is split as y_i - y_n
-        rows = [[*row, -row[i]] for row in vertex_set.relations]
+        rows = [[*row, -row[i]] for row in poly.relations]
         cost = [int(j == i) for j in range(poly.n)] + [-1]
-        minimum = _simplex("redundancy LP (bases)", budget, rows, rhs, cost)
+        minimum = _simplex("redundancy LP (bases)", budget, rows, poly.relation_values, cost)
         if minimum == "infeasible":
             flags[i] = True
         elif minimum != "unbounded" and minimum >= 0:
@@ -538,17 +523,10 @@ def redundancy(
     return flags
 
 
-def structure_report(
-    poly: HPolytope,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-    relations: Sequence[Sequence[int]] | None = None,
-) -> StructureReport:
-    """Run every structural predicate on one vertex enumeration and assemble the report.
-
-    ``relations`` is passed on to ``enumerate_vertices``.
-    """
+def structure_report(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> StructureReport:
+    """Run every structural predicate on one vertex enumeration and assemble the report."""
     notes: list[str] = []
-    vertex_set = enumerate_vertices(poly, budget, relations)
+    vertex_set = enumerate_vertices(poly, budget)
     bounded = vertex_set.bounded and not vertex_set.empty
     if vertex_set.empty:
         notes.append("empty feasible set")
@@ -559,15 +537,8 @@ def structure_report(
         # the active normals of a vertex span R^k, so they are independent
         # (generic) exactly when there are k of them (simple)
         simple = generic = is_simple(vertex_set, poly.dim)
-        if simple:
-            try:
-                delzant = is_delzant(poly, vertex_set)
-            except LatticeRankError as exc:
-                delzant = None
-                notes.append(str(exc))
-        else:
-            delzant = False
-    fano, constant, translation = is_fano(poly, vertex_set.relations)
+        delzant = simple and is_delzant(poly, vertex_set)
+    fano, constant, translation = is_fano(poly)
     redundant: tuple[int, ...] = ()
     strict: tuple[int, ...] = ()
     if bounded:

@@ -3,14 +3,10 @@
 A presentation ``<a_i, x> + b_i >= 0`` turns into the real variety
 ``Gamma u^2 = delta`` by substituting ``u_i^2`` for the i-th slack, where
 the rows of ``Gamma`` are a saturated basis of the integer relations among
-the normals and ``delta = Gamma b``.  The rows are stored in a canonical
-form so equal presentations give bit-equal systems.
-
-The canonical form is the Hermite normal form computed with pivot columns
-sought from the last variable backwards ("slack-ordered"): appended slack
-variables, like the redundant inequalities of the simplex families, then
-own their pivot row, which keeps the per-row invariants aligned with the
-natural presentation of those families.
+the normals and ``delta = Gamma b``.  Both are read off the presentation
+(``HPolytope.relations`` in its canonical slack-ordered form, and
+``HPolytope.relation_values``), so equal presentations give bit-equal
+systems.
 """
 
 from __future__ import annotations
@@ -23,8 +19,6 @@ from . import linalg
 from .polytopes import (
     HPolytope,
     PolytopeFormatError,
-    _relation_rows,
-    _slack_system,
     enumerate_vertices,
     format_rational,
     is_simple,
@@ -66,32 +60,21 @@ class QuadricSystem:
         return [self.column(j) for j in range(self.n)]
 
 
-def slack_ordered_hnf(rows):
-    """Row HNF with pivots chosen from the last column backwards.
-
-    The result is a canonical representative of the row lattice, with rows
-    ordered by ascending pivot column in the original orientation.
-    """
-    h = linalg.hnf([list(reversed(r)) for r in rows])
-    return [list(reversed(r)) for r in reversed(h)]
-
-
 def polytope_to_quadrics(poly: HPolytope) -> QuadricSystem:
     """The canonical quadric system of a presentation.
 
-    Requires the normals to span R^k, i.e. n - k relation rows; the kernel
-    rows are saturated, so every integer relation among the normals is an
-    integer combination of the returned rows.  ``delta`` is read off the
-    integer ``Gamma (scale * b)`` with one Fraction per row.
+    Requires the normals to span R^k, i.e. n - k relation rows; the rows
+    are saturated, so every integer relation among the normals is an
+    integer combination of them.  ``delta`` is read off the integer
+    ``Gamma (scale * b)`` with one Fraction per row.
     """
-    kernel = _relation_rows(poly)
-    if len(kernel) != poly.n - poly.dim:
+    if len(poly.relations) != poly.n - poly.dim:
         raise QuadricError(
             "normals do not span the ambient space (rank-deficient presentation)"
         )
-    gamma = tuple(tuple(r) for r in slack_ordered_hnf(kernel) if any(r))
-    scale, _, values = _slack_system(poly, gamma)
-    return QuadricSystem(gamma, tuple(Fraction(v, scale) for v in values))
+    scale = poly.integer_offsets[0]
+    delta = tuple(Fraction(v, scale) for v in poly.relation_values)
+    return QuadricSystem(poly.relations, delta)
 
 
 def quadrics_to_polytope(system: QuadricSystem) -> HPolytope:
@@ -127,13 +110,13 @@ def quadrics_to_polytope(system: QuadricSystem) -> HPolytope:
     return HPolytope(n - system.m, normals, tuple(reversed(b_rev)))
 
 
-def nondegeneracy(system: QuadricSystem, poly: HPolytope) -> bool:
-    """Whether the variety is nonempty and nondegenerate.
+def nondegeneracy(poly: HPolytope) -> bool:
+    """Whether the variety ``Gamma u^2 = delta`` of the presentation is
+    nonempty and nondegenerate.
 
-    Equivalent to the presentation being generic and feasible; ``poly``
-    must be the polytope corresponding to ``system``.
+    Equivalent to the presentation being generic and feasible.
     """
-    vertex_set = enumerate_vertices(poly, relations=system.gamma)
+    vertex_set = enumerate_vertices(poly)
     if vertex_set.empty or not vertex_set.pointed:
         return False
     return is_simple(vertex_set, poly.dim)

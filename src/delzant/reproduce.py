@@ -24,8 +24,6 @@ from .families import (
     gen_product_simplices,
     gen_redundant_simplex,
     parse_family_spec,
-    product_simplices_realized_divisors,
-    recognize_topology,
     redundant_simplex_predicted_divisors,
     redundant_simplex_realized_divisors,
     sphere_power_profile,
@@ -132,16 +130,24 @@ def check_product_pipeline(n_max: int = 20) -> SuiteRow:
     )
 
 
+def realized_product_divisors(p: int, n: int) -> dict[int, int]:
+    """N_L off the ``analyze_polytope`` report of each even twist k of the
+    (p, n) product, with the least twist realizing each value."""
+    witnesses: dict[int, int] = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FamilyRangeWarning)
+        for k in range(0, p - 1, 2):
+            report = analyze_polytope(gen_product_simplices(p, n, k))
+            witnesses.setdefault(report.invariants.minimal_maslov, k)
+    return dict(sorted(witnesses.items()))
+
+
 def check_product_realization() -> SuiteRow:
     failures = []
     count = 0
     for p in (4, 6, 8, 10, 12):
         for n in (2 * p, 2 * p + 4):
-            try:
-                realized = product_simplices_realized_divisors(p, n)
-            except AssertionError as exc:
-                failures.append(f"(p,n)=({p},{n}): {exc}")
-                continue
+            realized = realized_product_divisors(p, n)
             if set(realized) != even_divisors(p):
                 failures.append(f"(p,n)=({p},{n}): {sorted(realized)}")
             count += 1
@@ -238,13 +244,13 @@ def check_sphere_product_restriction(n_max: int = 20) -> SuiteRow:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FamilyRangeWarning)
         for p, n, k in product_pipeline_instances(n_max)[0]:
-            system = polytope_to_quadrics(gen_product_simplices(p, n, k))
-            tag = recognize_topology(system, ())
+            report = analyze_polytope(gen_product_simplices(p, n, k))
+            tag = report.topology
             if tag is None or len(tag.sphere_dims) != 2 or not tag.orientable:
                 continue
             d1, d2 = tag.sphere_dims
             profile = sphere_product_profile(d1 + 1, d2 + 1, l_dim=n)
-            value = math.gcd(p, n - p + k)
+            value = report.invariants.minimal_maslov
             if value not in admissible_maslov(profile, n):
                 failures.append(f"(p,n,k)=({p},{n},{k}): N_L={value} not admissible")
             checked += 1

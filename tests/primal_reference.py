@@ -8,7 +8,9 @@ constant.  Nothing here uses the relation rows' minors, the Gale dual or
 the vertex-facet incidence, and the square solves, ranks, determinants and
 affine solutions come from the dense Fraction Gauss-Jordan elimination
 below, not from ``linalg``'s fraction-free kernel; only ``integer_kernel``,
-``row_basis`` and ``dot`` are shared.  The differential tests therefore
+``hnf``, ``row_basis`` and ``dot`` are shared.  The relation rows are
+built in two steps, a saturated kernel basis and then its slack-ordered
+HNF, where the library runs one kernel on the reversed normals.  The differential tests therefore
 compare the library with a separate derivation of the same answers.
 """
 
@@ -95,6 +97,19 @@ def inverse(rows):
     return [row[n:] for row in a] if len(pivots) == n else None
 
 
+def slack_ordered_hnf(rows):
+    """Row HNF with pivots chosen from the last column backwards, zero rows
+    dropped; the rows are ordered by ascending pivot column."""
+    h = linalg.hnf([list(reversed(r)) for r in rows])
+    return [list(reversed(r)) for r in reversed(h) if any(r)]
+
+
+def relations(poly: HPolytope):
+    """The saturated relation rows among the normals (Z^n when k = 0), slack-ordered."""
+    kernel = linalg.integer_kernel(poly.matrix()) if poly.dim else linalg.identity(poly.n)
+    return tuple(tuple(r) for r in slack_ordered_hnf(kernel))
+
+
 def drop(poly: HPolytope, index: int) -> HPolytope:
     """The relaxation without inequality ``index``."""
     keep = [i for i in range(poly.n) if i != index]
@@ -125,15 +140,11 @@ def _candidates(rows, k):
             yield tuple(sol), values
 
 
-def _relations(poly):
-    return linalg.integer_kernel(poly.matrix()) if poly.n else []
-
-
-def _positive_relation(relations, n):
-    m = len(relations)
+def _positive_relation(rows, n):
+    m = len(rows)
     if m == 0:
         return n == 0
-    cols = [tuple(row[j] for row in relations) for j in range(n)]
+    cols = [tuple(row[j] for row in rows) for j in range(n)]
     for subset in combinations(range(n), m):
         sol = solve_square([cols[i] for i in subset], [1] * m)
         if sol is not None and all(linalg.dot(sol, col) >= 1 for col in cols):
@@ -146,7 +157,7 @@ def is_bounded(poly: HPolytope) -> bool:
         return True
     if rank([list(a) for a in poly.normals]) < poly.dim:
         return False
-    return _positive_relation(_relations(poly), poly.n)
+    return _positive_relation(relations(poly), poly.n)
 
 
 def _reduced_feasible(poly):
@@ -178,7 +189,7 @@ def enumerate_vertices(poly: HPolytope) -> dict:
     )
     if not vertices:
         return {"vertices": [], "bounded": True, "empty": True, "pointed": True}
-    bounded = _positive_relation(_relations(poly), poly.n)
+    bounded = _positive_relation(relations(poly), poly.n)
     return {"vertices": vertices, "bounded": bounded, "empty": False, "pointed": True}
 
 

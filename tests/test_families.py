@@ -13,7 +13,6 @@ from delzant.families import (
     gen_redundant_simplex,
     parse_family_spec,
     parse_profile_spec,
-    product_simplices_realized_divisors,
     recognize_topology,
     redundant_simplex_predicted_divisors,
     redundant_simplex_realized_divisors,
@@ -23,7 +22,11 @@ from delzant.families import (
 from delzant.invariants import deck_data, loop_lattice, maslov_area_report
 from delzant.polytopes import HPolytope, PolytopeFormatError, redundancy, structure_report
 from delzant.quadrics import QuadricSystem, polytope_to_quadrics
-from delzant.reproduce import product_pipeline_instances, redundant_pipeline_instances
+from delzant.reproduce import (
+    product_pipeline_instances,
+    realized_product_divisors,
+    redundant_pipeline_instances,
+)
 
 from .test_golden_output import random_presentation
 
@@ -95,19 +98,21 @@ class TestGenerators:
 
 
 class TestRealizationSweeps:
+    # the product sweeps read N_L off the analyze_polytope report of each twist,
+    # with the least twist realizing each value
     def test_twelve_twentyfour(self):
-        assert product_simplices_realized_divisors(12, 24) == {2: 2, 4: 4, 6: 6, 12: 0}
+        assert realized_product_divisors(12, 24) == {2: 2, 4: 4, 6: 6, 12: 0}
 
     def test_four_eight(self):
-        assert product_simplices_realized_divisors(4, 8) == {4: 0, 2: 2}
+        assert realized_product_divisors(4, 8) == {4: 0, 2: 2}
 
     def test_two_four(self):
-        assert product_simplices_realized_divisors(2, 4) == {2: 0}
+        assert realized_product_divisors(2, 4) == {2: 0}
 
     def test_equals_even_divisors_when_n_large(self):
         for p in (4, 6, 8, 10, 12):
             for n in (2 * p, 2 * p + 4, 2 * p + 6):
-                assert set(product_simplices_realized_divisors(p, n)) == even_divisors(p)
+                assert set(realized_product_divisors(p, n)) == even_divisors(p)
 
     def test_redundant_thirteen(self):
         assert set(redundant_simplex_realized_divisors(13)) == {2, 6}

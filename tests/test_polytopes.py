@@ -252,6 +252,17 @@ class TestPredicates:
         apex = next(v for v in vs.vertices if len(v.active) > 3)
         assert apex.point == (Fraction(0), Fraction(0), Fraction(1))
 
+    def test_delzant_test_needs_simple_vertices_and_spanning_normals(self):
+        pyramid = HPolytope(
+            3,
+            ((-1, 0, -1), (1, 0, -1), (0, -1, -1), (0, 1, -1), (0, 0, 1)),
+            (Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(0)),
+        )
+        strip = HPolytope(2, ((1, 0), (-1, 0)), (Fraction(1), Fraction(1)))
+        for poly in (pyramid, strip):
+            with pytest.raises(PolytopeError, match="requires a simple presentation"):
+                is_delzant(poly, enumerate_vertices(poly))
+
     def test_redundant_simplex_family_is_simple(self):
         vs = enumerate_vertices(redundant_simplex(5, 2))
         assert is_simple(vs, 3)

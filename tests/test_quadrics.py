@@ -22,7 +22,6 @@ from delzant.quadrics import (
     polytope_to_quadrics,
     quadrics_to_json,
     quadrics_to_polytope,
-    slack_ordered_hnf,
 )
 from . import primal_reference as ref
 from .test_polytopes import (
@@ -187,7 +186,8 @@ class TestBackwardProperty:
         b = poly.offsets
         assert all(type(x) is Fraction for x in b)
         assert [linalg.dot(row, b) for row in system.gamma] == list(system.delta)
-        pivots = {max(j for j, x in enumerate(row) if x) for row in slack_ordered_hnf(system.gamma)}
+        canonical = ref.slack_ordered_hnf(system.gamma)
+        pivots = {max(j for j, x in enumerate(row) if x) for row in canonical}
         assert all(b[j] == 0 for j in range(n) if j not in pivots)
         assert poly.dim == n - m
         for j in range(poly.dim):
@@ -258,16 +258,16 @@ def _random_unimodular(rng, d):
 class TestNondegeneracy:
     def test_family_systems(self):
         poly = product_simplices(4, 10, 2)
-        assert nondegeneracy(polytope_to_quadrics(poly), poly)
+        assert nondegeneracy(poly)
 
     def test_duplicated_facet_fails(self):
         tri = simplex(2)
         dup = HPolytope(2, tri.normals + ((1, 0),), tri.offsets + (Fraction(1),))
-        assert not nondegeneracy(polytope_to_quadrics(dup), dup)
+        assert not nondegeneracy(dup)
 
     def test_empty_polytope_fails(self):
         empty = HPolytope(1, ((1,), (-1,)), (Fraction(-2), Fraction(1)))
-        assert not nondegeneracy(polytope_to_quadrics(empty), empty)
+        assert not nondegeneracy(empty)
 
 
 class TestQuadricJson:

@@ -117,14 +117,27 @@ def non_unimodular_presentations(draw):
     return HPolytope(k, normals, tuple(q * b for b in poly.offsets))
 
 
-def _basis_minor(poly, relations, active):
-    """``|det|`` of the one basis a simple vertex is reached from, by the
-    reference's elimination: ``Gamma_B`` on the complement B of the active
-    set on the Gale side (m < k), the active normals otherwise."""
-    if len(relations) < poly.dim:
+@st.composite
+def dimension_zero_presentations(draw):
+    """Offsets alone: k = 0, so every slack is free and Gamma is the identity."""
+    offsets = draw(st.lists(offset, max_size=4))
+    return HPolytope(0, ((),) * len(offsets), tuple(offsets))
+
+
+def _lattice_det(poly):
+    """The index of the normal lattice L in Z^k, for normals that span R^k."""
+    return abs(ref.det(linalg.row_basis(poly.normals)))
+
+
+def _basis_minor(poly, active):
+    """The index of the one basis a simple vertex is reached from, by the
+    reference's elimination: ``|det Gamma_B|`` on the complement B of the
+    active set on the Gale side (m < k), ``|det A_S| / det L`` on the active
+    normals otherwise."""
+    if len(poly.relations) < poly.dim:
         complement = [j for j in range(poly.n) if j not in active]
-        return abs(ref.det([[row[j] for j in complement] for row in relations]))
-    return abs(ref.det([poly.normals[i] for i in active]))
+        return abs(ref.det([[row[j] for j in complement] for row in poly.relations]))
+    return abs(ref.det([poly.normals[i] for i in active])) / _lattice_det(poly)
 
 
 def assert_matches_reference(poly):
@@ -134,7 +147,7 @@ def assert_matches_reference(poly):
     for v in vs.vertices:
         assert v.den > 0 and math.gcd(v.den, *v.numerators) == 1
         if len(v.active) == poly.dim:
-            assert v.minor == _basis_minor(poly, vs.relations, v.active)
+            assert v.index == _basis_minor(poly, v.active)
     assert (vs.bounded, vs.empty, vs.pointed) == (
         expected["bounded"],
         expected["empty"],
@@ -216,9 +229,28 @@ class TestAgainstPrimalReference:
     )
     def test_minor_is_the_basis_determinant_not_the_point_denominator(self, poly, gale):
         vs = enumerate_vertices(poly)
-        assert (len(vs.relations) < poly.dim) is gale
-        assert any(v.den == 1 and v.minor == 2 for v in vs.vertices)
+        assert (len(poly.relations) < poly.dim) is gale
+        assert any(v.den == 1 and v.index == 2 for v in vs.vertices)
         assert is_delzant(poly, vs) is False
+        assert_matches_reference(poly)
+
+    @pytest.mark.parametrize(
+        "last, offsets, indices, delzant",
+        [
+            # the box [0, 2] x [0, 3]: |det A_S| = 2 = det L at every vertex
+            ((0, -1), (0, 0, 4, 3), (1, 1, 1, 1), True),
+            # a slanted top: (2, -2) spans index 2 in L with (2, 0) and with (-2, 0)
+            ((2, -2), (0, 0, 4, 4), (1, 2, 1, 2), False),
+        ],
+    )
+    def test_primal_index_divides_by_the_normal_lattice(self, last, offsets, indices, delzant):
+        # the normals span the index-2 lattice {(2a, b)}, and m = k = 2 is the primal side
+        normals = ((2, 0), (0, 1), (-2, 0), last)
+        poly = HPolytope(2, normals, tuple(map(Fraction, offsets)))
+        assert len(poly.relations) == poly.dim and _lattice_det(poly) == 2
+        vs = enumerate_vertices(poly)
+        assert tuple(v.index for v in vs.vertices) == indices
+        assert structure_report(poly).delzant is delzant
         assert_matches_reference(poly)
 
     @SETTINGS
@@ -242,8 +274,29 @@ class TestAgainstPrimalReference:
         )
         for poly in (simplex, box):
             assert_matches_reference(poly)
-        assert len(enumerate_vertices(simplex).relations) < simplex.dim
-        assert len(enumerate_vertices(box).relations) > box.dim
+        assert len(simplex.relations) < simplex.dim
+        assert len(box.relations) > box.dim
+
+
+class TestRelationBasis:
+    @SETTINGS
+    @given(
+        st.one_of(
+            presentations(),
+            rank_deficient_presentations(),
+            non_unimodular_presentations(),
+            dimension_zero_presentations(),
+        )
+    )
+    def test_cached_relations_equal_the_two_step_reference(self, poly):
+        # one kernel on the reversed normals against a kernel and then its
+        # slack-ordered HNF; and the offsets over their denominator lcm
+        assert poly.relations == ref.relations(poly)
+        assert poly.relations is poly.relations
+        scale, offsets = poly.integer_offsets
+        assert scale == math.lcm(*(b.denominator for b in poly.offsets))
+        assert [Fraction(e, scale) for e in offsets] == list(poly.offsets)
+        assert poly.relation_values == tuple(linalg.dot(row, offsets) for row in poly.relations)
 
 
 class TestGaleMinors:
@@ -320,7 +373,6 @@ class TestFanoAgainstReference:
     def test_flag_constant_and_translation(self, poly):
         expected = ref.is_fano(poly)
         assert _exact(is_fano(poly)) == expected
-        assert _exact(is_fano(poly, enumerate_vertices(poly).relations)) == expected
         report = structure_report(poly)
         assert (report.fano, report.fano_constant, report.fano_translation) == expected
 
@@ -328,7 +380,7 @@ class TestFanoAgainstReference:
         # Gamma 1 = 0 with a consistent offset, a rank-deficient translated
         # presentation, and a non-primitive normal
         strip = HPolytope(2, ((1, 0), (1, 1), (1, -1)), (Fraction(3), Fraction(1), Fraction(5)))
-        assert not any(sum(row) for row in enumerate_vertices(strip).relations)
+        assert not any(sum(row) for row in strip.relations)
         slab = HPolytope(2, ((1, 1), (-1, -1)), (Fraction(5, 2), Fraction(-1, 2)))
         doubled = HPolytope(1, ((2,), (-1,)), (Fraction(1), Fraction(1)))
         for poly, flag in ((strip, True), (slab, True), (doubled, False)):

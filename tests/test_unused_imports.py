@@ -1,5 +1,5 @@
-"""No module of the library imports a name it never uses, and no module-private
-top-level name goes unread.
+"""No module of the library imports a name it never uses, no module-private
+top-level name goes unread, and no module reads another module's private name.
 
 The check reads each source file with the standard ``ast`` module: a name
 bound by an ``import`` statement (at any depth) counts as used when a
@@ -7,7 +7,9 @@ bound by an ``import`` statement (at any depth) counts as used when a
 in ``__all__``.  ``from __future__`` imports are directives, not names.
 A top-level function, class or constant named ``_name`` counts as read when
 any module of the library loads it as a ``Name``, reads it as an attribute
-(``linalg._bareiss``) or imports it.
+(``linalg._bareiss``) or imports it.  A private name stays in its module:
+no other module imports it (``from .polytopes import _helper``) or reads it
+off an imported library module (``linalg._bareiss``).
 """
 
 import ast
@@ -126,3 +128,60 @@ def test_the_check_sees_unread_private_names():
 def test_no_unread_private_name():
     sources = {path.name: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_imports(source: str) -> list[str]:
+    """``module.name`` for each private name taken from another library module,
+    imported by name or read as an attribute of an imported module, in source order."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> library module or name imported from one
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "delzant"
+        ):
+            for alias in node.names:
+                qualified = f"{node.module}.{alias.name}" if node.module else alias.name
+                if _private(alias.name):
+                    found.append((node.lineno, node.col_offset, qualified))
+                else:
+                    modules[alias.asname or alias.name] = qualified
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ):
+            found.append((node.lineno, node.col_offset, f"{modules[node.value.id]}.{node.attr}"))
+    return [name for *_, name in sorted(found)]
+
+
+def test_the_check_sees_private_imports():
+    source = (
+        "import os\n"
+        "from numpy import _private_to_numpy\n"
+        "from . import linalg\n"
+        "from .polytopes import HPolytope, _relation_rows\n"
+        "from .quadrics import _slack as slack\n"
+        "from delzant.oracle import _deck_record\n"
+        "__all__ = ['HPolytope']\n"
+        "def f(x):\n"
+        "    return linalg._bareiss(os._exit, linalg.dot, x.__class__, HPolytope._cache)\n"
+    )
+    assert private_imports(source) == [
+        "polytopes._relation_rows",
+        "quadrics._slack",
+        "delzant.oracle._deck_record",
+        "linalg._bareiss",
+        "polytopes.HPolytope._cache",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_import(path):
+    assert private_imports(path.read_text()) == []

@@ -55,7 +55,6 @@ class AnalysisReport:
     polytope: HPolytope
     structure: StructureReport
     quadrics: QuadricSystem
-    deck: inv.DeckData
     loops: inv.LoopLattice
     invariants: inv.InvariantReport
     topology: TopologyTag | None
@@ -104,14 +103,13 @@ def analyze_polytope(
     """Run the whole pipeline on one presentation."""
     system = polytope_to_quadrics(poly)
     structure = structure_report(poly, budget)
-    deck = inv.deck_data(system)
     non_strict = set(structure.redundant) - set(structure.strict_redundant)
     if non_strict:
-        loops = inv.doubled_loop_lattice(deck)
+        loops = inv.doubled_loop_lattice(system.deck)
     else:
-        loops = inv.loop_lattice(deck, structure.strict_redundant)
-    report = inv.maslov_area_report(deck, system, loops)
-    topology = recognize_topology(system, structure.strict_redundant, deck)
+        loops = inv.loop_lattice(system.deck, structure.strict_redundant)
+    report = inv.maslov_area_report(system, loops)
+    topology = recognize_topology(system, structure.strict_redundant)
     assumptions = list(report.assumptions)
     if (
         topology is not None
@@ -140,7 +138,6 @@ def analyze_polytope(
         polytope=poly,
         structure=structure,
         quadrics=system,
-        deck=deck,
         loops=loops,
         invariants=report,
         topology=topology,

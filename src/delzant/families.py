@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .invariants import DeckData, deck_data
 from .polytopes import HPolytope, PolytopeFormatError, parse_integer
 from .quadrics import QuadricSystem
 from .spectral import HomologyProfile
@@ -150,9 +149,7 @@ def _core_rows(system: QuadricSystem, strict_redundant: list[int]):
 
 
 def recognize_topology(
-    system: QuadricSystem,
-    strict_redundant: list[int] | tuple[int, ...] = (),
-    deck: DeckData | None = None,
+    system: QuadricSystem, strict_redundant: list[int] | tuple[int, ...] = ()
 ) -> TopologyTag | None:
     """Match against the fixed catalog; None means Unknown.
 
@@ -160,8 +157,8 @@ def recognize_topology(
     columns split into blocks v_b, v_c (and optionally v_a = v_b + v_c)
     with unimodular (v_b, v_c) are a product of two spheres, the splitting
     decided by the right-hand sides.  Strictly redundant slacks multiply
-    the component count by two each.  ``deck`` is the system's
-    ``invariants.deck_data``, computed when not given.
+    the component count by two each.  Orientability is read off
+    ``system.deck``, the deck record the system caches.
     """
     strict = sorted(set(strict_redundant))
     core = _core_rows(system, strict)
@@ -171,10 +168,9 @@ def recognize_topology(
     core_columns = [j for j in range(system.n) if j not in strict]
     torus_rank = system.m
     components = 2 ** len(strict)
-    if deck is None:
-        deck = deck_data(system)
     # orientable iff no dual basis generator flips an odd number of core coordinates
-    orientable = not any(sum(row[j] for j in core_columns) % 2 for row in deck.pairings)
+    pairings = system.deck.pairings
+    orientable = not any(sum(row[j] for j in core_columns) % 2 for row in pairings)
 
     if len(coefficients) == 1:
         row = coefficients[0]

@@ -9,7 +9,8 @@ independent; all loop data below is expressed in coordinates with respect
 to the canonical dual basis.  ``DeckData`` carries the integer pairing
 matrix ``<eps_p, gamma_j>`` of that basis with the columns, checked for
 integrality once; every parity, Maslov value and loop pairing is read
-from it, and only the areas pair a dual vector with ``delta``.
+from it, and every area from its pairings ``<eps_p, delta>``.  A
+``QuadricSystem`` computes its ``DeckData`` once, as its cached ``deck``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ class DeckData:
 
     The dual basis vector ``eps_p`` is ``dual_numerators[p] / dual_den``, in
     lowest terms.  ``pairings[p][j]`` is the integer ``<eps_p, gamma_j>`` of
-    dual basis vector p with column j.
+    dual basis vector p with column j; ``<eps_p, delta>`` is
+    ``delta_numerators[p] / delta_den``, not reduced.
     """
 
     rank: int
@@ -51,6 +53,8 @@ class DeckData:
     dual_numerators: tuple[tuple[int, ...], ...]
     dual_den: int
     pairings: tuple[tuple[int, ...], ...]
+    delta_numerators: tuple[int, ...]
+    delta_den: int
 
     @property
     def dual_basis(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -82,10 +86,11 @@ class InvariantReport:
 
 
 def deck_data(system: QuadricSystem) -> DeckData:
-    """Basis of the lattice generated by the coefficient columns, plus its dual."""
+    """Basis of the lattice generated by the coefficient columns, plus its
+    dual and their pairings; ``system.deck`` caches the result."""
     rank = system.m
     if rank == 0:
-        return DeckData(rank=0, lattice_basis=(), dual_numerators=(), dual_den=1, pairings=())
+        return DeckData(0, (), (), 1, (), (), 1)
     columns = [list(c) for c in system.columns()]
     basis = linalg.row_basis(columns)
     if len(basis) < rank:
@@ -97,20 +102,16 @@ def deck_data(system: QuadricSystem) -> DeckData:
     scaled = linalg.mat_mul(numerators, system.gamma)
     if any(x % den for row in scaled for x in row):
         raise InvariantError("a dual basis vector pairs non-integrally with a lattice column")
+    delta, scale = linalg.scale_to_integers(system.delta)
     return DeckData(
         rank=rank,
         lattice_basis=tuple(tuple(r) for r in basis),
         dual_numerators=tuple(tuple(r) for r in numerators),
         dual_den=den,
         pairings=tuple(tuple(x // den for x in row) for row in scaled),
+        delta_numerators=tuple(linalg.dot(eps, delta) for eps in numerators),
+        delta_den=den * scale,
     )
-
-
-def delta_pairings(deck: DeckData, system: QuadricSystem) -> tuple[list[int], int]:
-    """``<eps_p, delta>`` for each dual basis vector, as integer numerators over
-    one denominator ``(N, den)``, not reduced; areas are read from these."""
-    delta, scale = linalg.scale_to_integers(system.delta)
-    return [linalg.dot(eps, delta) for eps in deck.dual_numerators], deck.dual_den * scale
 
 
 def loop_lattice(deck: DeckData, strict_redundant: Iterable[int]) -> LoopLattice:
@@ -145,9 +146,7 @@ def t_vector(system: QuadricSystem) -> tuple[int, ...]:
     return tuple(sum(row) for row in system.gamma)
 
 
-def maslov_area_report(
-    deck: DeckData, system: QuadricSystem, loops: LoopLattice
-) -> InvariantReport:
+def maslov_area_report(system: QuadricSystem, loops: LoopLattice) -> InvariantReport:
     """Maslov values, area coefficients, minimal Maslov number, monotonicity.
 
     Monotone means the areas are one positive rational multiple of the
@@ -155,10 +154,11 @@ def maslov_area_report(
     nonzero area defeats monotonicity.
     """
     t = t_vector(system)
+    deck = system.deck
     generator_maslov = [sum(row) for row in deck.pairings]
-    pairings, den = delta_pairings(deck, system)
     maslov = [linalg.dot(coords, generator_maslov) for coords in loops.basis]
-    areas = [Fraction(linalg.dot(coords, pairings), 2 * den) for coords in loops.basis]
+    den = 2 * deck.delta_den
+    areas = [Fraction(linalg.dot(c, deck.delta_numerators), den) for c in loops.basis]
     minimal = math.gcd(*maslov)
     coeff: Fraction | None = None
     monotone = True

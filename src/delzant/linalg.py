@@ -111,6 +111,14 @@ def row_basis(matrix: Matrix) -> list[list[int]]:
     return [r for r in hnf(matrix) if any(r)]
 
 
+def image_and_kernel(matrix: Matrix) -> tuple[list[list[int]], list[list[int]]]:
+    """``(image, kernel)`` from one HNF of the transpose: the HNF basis of the
+    lattice the columns of ``matrix`` span, and ``integer_kernel(matrix)``."""
+    h, u = hnf(transpose(matrix), transform=True)
+    kernel = [u[i] for i in range(len(h)) if not any(h[i])]
+    return [r for r in h if any(r)], row_basis(kernel) if kernel else []
+
+
 def integer_kernel(matrix: Matrix) -> list[list[int]]:
     """Saturated basis of ``{v : matrix @ v == 0}`` over the integers.
 
@@ -118,17 +126,7 @@ def integer_kernel(matrix: Matrix) -> list[list[int]]:
     rows.  The basis is HNF-canonical; the result may have zero rows only
     if the kernel is trivial (then the list is empty).
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return identity(n)
-    h, u = hnf(transpose(matrix), transform=True)
-    kernel = [u[i] for i in range(len(h)) if not any(h[i])]
-    if not kernel:
-        return []
-    return row_basis(kernel)
+    return image_and_kernel(matrix)[1]
 
 
 def lattice_det(basis: Matrix) -> int:

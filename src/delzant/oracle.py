@@ -5,12 +5,12 @@ Liouville form along explicit torus-orbit loops, and counts Maslov winding
 through the squared-determinant phase of an honest Lagrangian frame.
 Only torus-orbit loops (the base point fixed) are realized; a doubled
 class ``2v`` always closes, while ``v`` itself closes only when every
-coordinate it flips vanishes at the base point.
+coordinate it flips vanishes at the base point.  The exact side of every
+comparison is read off the deck record the system caches (``system.deck``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import linalg
 from .families import FamilyRangeWarning, parse_family_spec
-from .invariants import DeckData, deck_data, delta_pairings
 from .quadrics import QuadricSystem, quadrics_to_polytope
 from .polytopes import enumerate_vertices
 
@@ -155,16 +154,8 @@ class _LoopData:
     area: float  # pi <w, delta>, halved for a plain loop
 
 
-@functools.lru_cache(maxsize=64)
-def _deck_record(system: QuadricSystem) -> tuple[DeckData, tuple[int, ...], int]:
-    """The system's deck data and its delta pairings ``(N, den)``, built once per system."""
-    deck = deck_data(system)
-    numerators, den = delta_pairings(deck, system)
-    return deck, tuple(numerators), den
-
-
 def _loop_data(system: QuadricSystem, loop: TorusLoop) -> _LoopData:
-    deck, numerators, den = _deck_record(system)
+    deck = system.deck
     if len(loop.coeffs) != deck.rank:
         raise OracleError("loop coefficients do not match the torus rank")
     pairings = [
@@ -172,7 +163,7 @@ def _loop_data(system: QuadricSystem, loop: TorusLoop) -> _LoopData:
     ]
     factor = 2 if loop.doubled else 1
     # int / int is correctly rounded, as float(Fraction) is
-    area = linalg.dot(loop.coeffs, numerators) * factor / (2 * den)
+    area = linalg.dot(loop.coeffs, deck.delta_numerators) * factor / (2 * deck.delta_den)
     return _LoopData(np.array(pairings, dtype=float), factor * sum(pairings), area * math.pi)
 
 

@@ -5,16 +5,16 @@ normals ``a_i`` and rational offsets ``b_i``.  All geometry here is done
 in exact rational arithmetic; there is no floating point.
 
 A presentation's relation rows ``Gamma`` (a saturated basis of the integer
-relations among the normals, m = n - k rows when the normals span), its
-offsets over their common denominator and ``Gamma`` applied to them are
-computed once, on first use, as cached properties of ``HPolytope``; the
-quadric system reads them from there.  ``Gamma`` is stored in a canonical
-form so equal presentations give bit-equal rows: the Hermite normal form
-computed with pivot columns sought from the last inequality backwards
-("slack-ordered").  Appended slack inequalities, like the redundant
-inequalities of the simplex families, then own their pivot row, which
-keeps the per-row invariants aligned with the natural presentation of
-those families.
+relations among the normals, m = n - k rows when the normals span), with
+the index det L of the normal lattice from the same HNF, its offsets over
+their common denominator and ``Gamma`` applied to them are computed once,
+on first use, as cached properties of ``HPolytope``; the quadric system
+reads them from there.  ``Gamma`` is stored in a canonical form so equal
+presentations give bit-equal rows: the Hermite normal form computed with
+pivot columns sought from the last inequality backwards ("slack-ordered").
+Appended slack inequalities, like the redundant inequalities of the
+simplex families, then own their pivot row, which keeps the per-row
+invariants aligned with the natural presentation of those families.
 
 The vertices are enumerated once, and every predicate reads its answer
 from that result.  Vertices come from basis solving on the side
@@ -97,19 +97,24 @@ class HPolytope:
         return [[a[r] for a in self.normals] for r in range(self.dim)]
 
     @functools.cached_property
-    def relations(self) -> tuple[tuple[int, ...], ...]:
-        """``Gamma``: the saturated basis of the integer relations among the
-        normals (Z^n when k = 0), in slack-ordered Hermite normal form.
-
-        ``integer_kernel`` returns the HNF of the kernel; run on the normals
-        in reverse order, its pivots are sought from the last inequality
-        backwards, and the rows come back reversed, ordered by ascending
-        pivot column.
-        """
+    def _lattices(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """``(relations, normal_lattice_det)`` from one ``image_and_kernel`` of the
+        normals in reverse order: its kernel's HNF pivots are sought from the last
+        inequality backwards (the rows come back reversed); its image is L's basis."""
         if not self.dim:
-            return tuple(map(tuple, linalg.identity(self.n)))
-        kernel = linalg.integer_kernel([row[::-1] for row in self.matrix()])
-        return tuple(tuple(row[::-1]) for row in reversed(kernel))
+            return tuple(map(tuple, linalg.identity(self.n))), 1
+        image, kernel = linalg.image_and_kernel([row[::-1] for row in self.matrix()])
+        return tuple(tuple(row[::-1]) for row in reversed(kernel)), linalg.lattice_det(image)
+
+    @property
+    def relations(self) -> tuple[tuple[int, ...], ...]:
+        """``Gamma``: the normals' saturated relation basis (Z^n when k = 0), slack-ordered HNF."""
+        return self._lattices[0]
+
+    @property
+    def normal_lattice_det(self) -> int:
+        """det L, the index in Z^k of the lattice L the normals span (when they span R^k)."""
+        return self._lattices[1]
 
     @functools.cached_property
     def integer_offsets(self) -> tuple[int, tuple[int, ...]]:
@@ -316,7 +321,7 @@ def _primal_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
     """
     scale, offsets = poly.integer_offsets
     _check_budget("vertex enumeration (k-subsets)", poly.n, poly.dim, budget)
-    lattice = linalg.lattice_det(linalg.row_basis(poly.normals))
+    lattice = poly.normal_lattice_det
     seen = set()
     vertices = []
     for subset in combinations(range(poly.n), poly.dim):

@@ -6,11 +6,12 @@ the rows of ``Gamma`` are a saturated basis of the integer relations among
 the normals and ``delta = Gamma b``.  Both are read off the presentation
 (``HPolytope.relations`` in its canonical slack-ordered form, and
 ``HPolytope.relation_values``), so equal presentations give bit-equal
-systems.
+systems.  A ``QuadricSystem`` caches its ``invariants.DeckData`` as ``deck``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +59,13 @@ class QuadricSystem:
 
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.n)]
+
+    @functools.cached_property
+    def deck(self):
+        """The system's ``invariants.DeckData``, computed on first use."""
+        from . import invariants  # which imports this module
+
+        return invariants.deck_data(self)
 
 
 def polytope_to_quadrics(poly: HPolytope) -> QuadricSystem:

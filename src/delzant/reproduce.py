@@ -8,6 +8,7 @@ area of the redundant-simplex slack generator is reported as "flagged"
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import analyze_polytope
+from .analysis import AnalysisReport, analyze_polytope
 from .families import (
     FamilyRangeWarning,
     connected_sum_profile,
@@ -87,30 +88,37 @@ def product_pipeline_instances(n_max: int = 20):
     return included, degenerate
 
 
+@functools.cache
+def _product_report(p: int, n: int, k: int) -> AnalysisReport:
+    """The (p, n, k) product's ``analyze_polytope`` report, made once per process."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FamilyRangeWarning)
+        return analyze_polytope(gen_product_simplices(p, n, k))
+
+
 def check_product_pipeline(n_max: int = 20) -> SuiteRow:
     included, degenerate = product_pipeline_instances(n_max)
     failures = []
+    for p, n, k in included:
+        report = _product_report(p, n, k)
+        s = report.structure
+        label = f"(p,n,k)=({p},{n},{k})"
+        if not (s.delzant and s.fano and s.fano_constant == 1):
+            failures.append(f"{label}: not Delzant-Fano with C=1")
+        if s.redundant:
+            failures.append(f"{label}: unexpected redundancy {s.redundant}")
+        expected = math.gcd(p, n - p + k)
+        if report.invariants.minimal_maslov != expected:
+            failures.append(
+                f"{label}: N_L={report.invariants.minimal_maslov} != gcd={expected}"
+            )
+        if not (
+            report.invariants.monotone
+            and report.invariants.monotonicity_coeff == Fraction(1, 2)
+        ):
+            failures.append(f"{label}: not monotone with c = pi/2")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FamilyRangeWarning)
-        for p, n, k in included:
-            poly = gen_product_simplices(p, n, k)
-            report = analyze_polytope(poly)
-            s = report.structure
-            label = f"(p,n,k)=({p},{n},{k})"
-            if not (s.delzant and s.fano and s.fano_constant == 1):
-                failures.append(f"{label}: not Delzant-Fano with C=1")
-            if s.redundant:
-                failures.append(f"{label}: unexpected redundancy {s.redundant}")
-            expected = math.gcd(p, n - p + k)
-            if report.invariants.minimal_maslov != expected:
-                failures.append(
-                    f"{label}: N_L={report.invariants.minimal_maslov} != gcd={expected}"
-                )
-            if not (
-                report.invariants.monotone
-                and report.invariants.monotonicity_coeff == Fraction(1, 2)
-            ):
-                failures.append(f"{label}: not monotone with c = pi/2")
         for p, n, k in degenerate:
             poly = gen_product_simplices(p, n, k)
             vs = enumerate_vertices(poly)
@@ -134,11 +142,8 @@ def realized_product_divisors(p: int, n: int) -> dict[int, int]:
     """N_L off the ``analyze_polytope`` report of each even twist k of the
     (p, n) product, with the least twist realizing each value."""
     witnesses: dict[int, int] = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FamilyRangeWarning)
-        for k in range(0, p - 1, 2):
-            report = analyze_polytope(gen_product_simplices(p, n, k))
-            witnesses.setdefault(report.invariants.minimal_maslov, k)
+    for k in range(0, p - 1, 2):
+        witnesses.setdefault(_product_report(p, n, k).invariants.minimal_maslov, k)
     return dict(sorted(witnesses.items()))
 
 
@@ -241,19 +246,17 @@ def check_sphere_product_restriction(n_max: int = 20) -> SuiteRow:
     # consistency: every realized N_L with recognized sphere-product topology
     # is admissible for that topology's profile
     checked = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FamilyRangeWarning)
-        for p, n, k in product_pipeline_instances(n_max)[0]:
-            report = analyze_polytope(gen_product_simplices(p, n, k))
-            tag = report.topology
-            if tag is None or len(tag.sphere_dims) != 2 or not tag.orientable:
-                continue
-            d1, d2 = tag.sphere_dims
-            profile = sphere_product_profile(d1 + 1, d2 + 1, l_dim=n)
-            value = report.invariants.minimal_maslov
-            if value not in admissible_maslov(profile, n):
-                failures.append(f"(p,n,k)=({p},{n},{k}): N_L={value} not admissible")
-            checked += 1
+    for p, n, k in product_pipeline_instances(n_max)[0]:
+        report = _product_report(p, n, k)
+        tag = report.topology
+        if tag is None or len(tag.sphere_dims) != 2 or not tag.orientable:
+            continue
+        d1, d2 = tag.sphere_dims
+        profile = sphere_product_profile(d1 + 1, d2 + 1, l_dim=n)
+        value = report.invariants.minimal_maslov
+        if value not in admissible_maslov(profile, n):
+            failures.append(f"(p,n,k)=({p},{n},{k}): N_L={value} not admissible")
+        checked += 1
     return _row(
         "restriction-sphere-product",
         "sphere-product admissible sets within the divisor union; realized values admissible",

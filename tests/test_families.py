@@ -35,7 +35,7 @@ def pipeline_minimal_maslov(poly):
     q = polytope_to_quadrics(poly)
     deck = deck_data(q)
     strict = sorted(i for i, s in redundancy(poly).items() if s)
-    report = maslov_area_report(deck, q, loop_lattice(deck, strict))
+    report = maslov_area_report(q, loop_lattice(deck, strict))
     return q, strict, report
 
 

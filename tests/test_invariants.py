@@ -9,7 +9,6 @@ from delzant.invariants import (
     InvariantError,
     LoopLattice,
     deck_data,
-    delta_pairings,
     doubled_loop_lattice,
     fano_monotone_crosscheck,
     loop_lattice,
@@ -31,7 +30,7 @@ def analyze(poly):
     deck = deck_data(q)
     strict = sorted(i for i, s in redundancy(poly).items() if s)
     loops = loop_lattice(deck, strict)
-    return q, deck, loops, maslov_area_report(deck, q, loops)
+    return q, deck, loops, maslov_area_report(q, loops)
 
 
 class TestDeckData:
@@ -124,7 +123,7 @@ class TestMaslovAreaReport:
         q = circle_system()
         deck = deck_data(q)
         loops = loop_lattice(deck, [])
-        report = maslov_area_report(deck, q, loops)
+        report = maslov_area_report(q, loops)
         assert report.t_vector == (2,)
         assert report.minimal_maslov == 2
         assert report.monotone and report.monotonicity_coeff == Fraction(1, 2)
@@ -133,7 +132,7 @@ class TestMaslovAreaReport:
         q = QuadricSystem(((1, -1),), (Fraction(1),))
         deck = deck_data(q)
         loops = loop_lattice(deck, [])
-        report = maslov_area_report(deck, q, loops)
+        report = maslov_area_report(q, loops)
         assert report.t_vector == (0,)
         assert report.maslov_values == (0,)
         assert not report.monotone
@@ -163,7 +162,7 @@ class TestMaslovAreaReport:
         q = polytope_to_quadrics(poly)
         deck = deck_data(q)
         strict = sorted(i for i, s in redundancy(poly).items() if s)
-        base = maslov_area_report(deck, q, loop_lattice(deck, strict))
+        base = maslov_area_report(q, loop_lattice(deck, strict))
         for _ in range(8):
             u = _random_unimodular(rng, q.m)
             gamma = tuple(
@@ -175,7 +174,7 @@ class TestMaslovAreaReport:
             )
             mixed = QuadricSystem(gamma, delta)
             deck2 = deck_data(mixed)
-            report = maslov_area_report(deck2, mixed, loop_lattice(deck2, strict))
+            report = maslov_area_report(mixed, loop_lattice(deck2, strict))
             assert report.minimal_maslov == base.minimal_maslov
             assert report.monotone == base.monotone
             assert report.monotonicity_coeff == base.monotonicity_coeff
@@ -212,7 +211,7 @@ class TestMaslovAreaReport:
         assert any("doubled" in a for a in report.assumptions)
         q = circle_system()
         deck = deck_data(q)
-        fallback = maslov_area_report(deck, q, doubled_loop_lattice(deck))
+        fallback = maslov_area_report(q, doubled_loop_lattice(deck))
         assert any("undetermined" in a for a in fallback.assumptions)
 
 
@@ -237,19 +236,19 @@ class TestMinimalMaslov:
         q, deck, loops, report = analyze(redundant_simplex(13, 8))
         assert report.maslov_values == (12, 18) and report.minimal_maslov == 6
         # the same lattice on a basis with a negative Maslov value
-        other = maslov_area_report(deck, q, LoopLattice(((1, 0), (-2, 2)), loops.index_in_dual))
+        other = maslov_area_report(q, LoopLattice(((1, 0), (-2, 2)), loops.index_in_dual))
         assert other.maslov_values == (12, -6) and other.minimal_maslov == 6
 
     def test_empty(self):
         q = QuadricSystem((), ())
         deck = deck_data(q)
-        report = maslov_area_report(deck, q, loop_lattice(deck, []))
+        report = maslov_area_report(q, loop_lattice(deck, []))
         assert report.loop_basis == () and report.minimal_maslov == 0
 
     def test_all_zero(self):
         q = QuadricSystem(((1, -1, 0, 0), (0, 0, 1, -1)), (Fraction(1), Fraction(1)))
         deck = deck_data(q)
-        report = maslov_area_report(deck, q, loop_lattice(deck, []))
+        report = maslov_area_report(q, loop_lattice(deck, []))
         assert report.maslov_values == (0, 0) and report.minimal_maslov == 0
 
 
@@ -378,12 +377,12 @@ class TestIntegerAreaPairings:
                 deck = deck_data(q)
             except InvariantError:
                 continue
-            numerators, den = delta_pairings(deck, q)
+            numerators, den = deck.delta_numerators, deck.delta_den
             assert all(type(x) is int for x in numerators) and den > 0
             expected = [linalg.dot(eps, delta) for eps in deck.dual_basis]
             assert [Fraction(x, den) for x in numerators] == expected
             loops = loop_lattice(deck, sorted(rng.sample(range(n), rng.randint(0, 1))))
-            report = maslov_area_report(deck, q, loops)
+            report = maslov_area_report(q, loops)
             assert report.area_coeffs == tuple(
                 linalg.dot(coords, expected) / 2 for coords in loops.basis
             )

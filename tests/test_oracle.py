@@ -307,32 +307,35 @@ CATALOG_DIGEST = "60c4b28e3cbe34d2fe3cdfe35dc15812cdaf2be780b9faf5b6e673300a9e46
 
 class TestDeckRecord:
     def test_one_deck_data_call_per_system(self, monkeypatch):
+        # the cached property calls invariants.deck_data through the module
+        # global, so a counter bound there sees every computation
         calls = []
+        fresh = invariants.deck_data
 
         def counting(system):
             calls.append(system)
-            return invariants.deck_data(system)
+            return fresh(system)
 
-        monkeypatch.setattr(oracle, "deck_data", counting)
-        oracle._deck_record.cache_clear()
-        try:
-            q = polytope_to_quadrics(gen_redundant_simplex(7, 4))
-            point = sample_point(q, seed=1)
-            readers = (
-                lambda loop: loop_area(q, loop, point),
-                lambda loop: loop_maslov(q, loop, point),
-                lambda loop: closed_form_area(q, loop),
-                lambda loop: expected_maslov(q, loop),
-            )
-            for i in range(10):
-                readers[i % 4](TorusLoop((1, i - 5)))
-            assert calls == [q]
-            other = polytope_to_quadrics(gen_product_simplices(4, 10, 2))
-            closed_form_area(other, TorusLoop((1, 0)))
-            expected_maslov(other, TorusLoop((0, 1)))
-            assert calls == [q, other]
-        finally:
-            oracle._deck_record.cache_clear()
+        monkeypatch.setattr(invariants, "deck_data", counting)
+        q = polytope_to_quadrics(gen_redundant_simplex(7, 4))
+        point = sample_point(q, seed=1)
+        readers = (
+            lambda loop: loop_area(q, loop, point),
+            lambda loop: loop_maslov(q, loop, point),
+            lambda loop: closed_form_area(q, loop),
+            lambda loop: expected_maslov(q, loop),
+        )
+        for i in range(10):
+            readers[i % 4](TorusLoop((1, i - 5)))
+        assert len(calls) == 1 and calls[0] is q
+        other = polytope_to_quadrics(gen_product_simplices(4, 10, 2))
+        closed_form_area(other, TorusLoop((1, 0)))
+        expected_maslov(other, TorusLoop((0, 1)))
+        assert len(calls) == 2 and calls[1] is other
+        # an equal system is another object with its own record
+        twin = QuadricSystem(q.gamma, q.delta)
+        expected_maslov(twin, TorusLoop((0, 1)))
+        assert len(calls) == 3 and calls[2] is twin
 
     def test_record_equals_fresh_deck_data(self):
         for q in (
@@ -341,10 +344,13 @@ class TestDeckRecord:
             QuadricSystem(((2, 2, 2),), (Fraction(7, 3),)),
             cut_box(4),
         ):
-            deck, numerators, den = oracle._deck_record(q)
-            fresh = invariants.deck_data(q)
-            assert deck == fresh
-            assert (list(numerators), den) == invariants.delta_pairings(fresh, q)
+            deck = q.deck
+            assert deck is q.deck
+            assert deck == invariants.deck_data(q)
+            # the delta pairings are <eps_p, delta> over one denominator
+            assert [Fraction(x, deck.delta_den) for x in deck.delta_numerators] == [
+                sum((e * d for e, d in zip(eps, q.delta)), Fraction(0)) for eps in deck.dual_basis
+            ]
 
     def test_catalog_records_unchanged(self):
         records = catalog_records()

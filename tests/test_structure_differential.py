@@ -290,9 +290,12 @@ class TestRelationBasis:
     )
     def test_cached_relations_equal_the_two_step_reference(self, poly):
         # one kernel on the reversed normals against a kernel and then its
-        # slack-ordered HNF; and the offsets over their denominator lcm
+        # slack-ordered HNF; det L off the same HNF against a second one; and
+        # the offsets over their denominator lcm
         assert poly.relations == ref.relations(poly)
         assert poly.relations is poly.relations
+        if len(poly.relations) == poly.n - poly.dim:
+            assert poly.normal_lattice_det == _lattice_det(poly)
         scale, offsets = poly.integer_offsets
         assert scale == math.lcm(*(b.denominator for b in poly.offsets))
         assert [Fraction(e, scale) for e in offsets] == list(poly.offsets)

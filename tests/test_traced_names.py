@@ -4,7 +4,8 @@
 with ``getattr`` and fails when one has been renamed or removed, so the
 names it wraps must stay public.  The workloads in ``perfbench/workloads.py``
 call the library with fixed signatures; one op of each catches a change
-that would break them.
+that would break them.  A wrapper the tracer binds must see every call it
+is meant to count, so each computation goes through the module global.
 """
 
 import importlib
@@ -39,3 +40,34 @@ def test_workload_runs_one_checked_op(name):
     answer = workload.op(item)
     assert workload.check(item, answer) == []
     assert workload.check(item, workload.corrupt(answer)) != []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "redundant-simplex:n=7,k=4",
+        # the det L = 2 diamond, outside the catalog
+        '{"A": [[1, 1, -1, -1], [1, -1, 1, -1]], "b": [1, 1, 1, 1]}',
+    ],
+)
+def test_one_traced_deck_data_call_per_analysis(text):
+    # the deck record is cached on the quadric system and read by the
+    # invariants, the topology and the oracle; a property that bound
+    # deck_data at import time would read 0 here, a second record 2
+    tracing = _load("tracer")
+    for layer in tracing.LAYERS:
+        importlib.import_module(f"delzant.{layer}")
+    from delzant import analysis, families, polytopes
+
+    if text.startswith("{"):
+        poly = polytopes.parse_polytope(text)
+    else:
+        poly = families.parse_family_spec(text)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = analysis.analyze_polytope(poly, with_oracle=True)
+    finally:
+        tracer.uninstall()
+    assert report.oracle_checks and all(r["pass"] for r in report.oracle_checks)
+    assert tracer.calls["invariants.deck_data"] == 1

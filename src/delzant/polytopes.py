@@ -19,8 +19,12 @@ invariants aligned with the natural presentation of those families.
 The vertices are enumerated once, and every predicate reads its answer
 from that result.  Vertices come from basis solving on the side
 with the smaller square systems: k-subsets of the inequalities when
-k <= m, else m-subsets B of the Gale dual ``Gamma s = Gamma b, s >= 0``
-(both sides try C(n, k) = C(n, m) subsets).  Boundedness, the feasibility
+k <= m, else m-subsets B of the Gale dual ``Gamma s = Gamma b, s >= 0``.
+For m = 2 (the paper's twisted products and redundant simplices) no pair
+is solved: a pair of columns of ``Gamma`` is a feasible basis exactly when
+``Gamma b`` lies in its cone, a sign rule on three 2 x 2 determinants, and
+Cramer's rule gives its slacks.  Either side's budget is the C(n, k) =
+C(n, m) subsets, counted up front.  Boundedness, the feasibility
 of a rank-deficient system and the redundancy of an index on an empty
 polytope or one with an implicit equality are each one exact LP on
 ``Gamma`` (``linalg.simplex``); otherwise redundancy is read off the
@@ -348,13 +352,41 @@ def _primal_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
     return vertices
 
 
+def _feasible_bases(cols, rhs):
+    """``(B, numerators, d)`` for each m-subset B, in lexicographic order, with
+    ``Gamma_B`` nonsingular and ``s_B = Gamma_B^-1 rhs = numerators / d >= 0``,
+    ``d = |det Gamma_B|``.
+
+    For m = 2 no pair is solved.  With ``c_j = det(gamma_j, rhs)`` and
+    ``D = det(gamma_i, gamma_j)``, Cramer's rule gives ``s_B = (-c_j, c_i) / D``,
+    so B is feasible exactly when ``D != 0`` and ``c_i D >= 0 >= c_j D``: the
+    cone of the two columns holds ``rhs``.
+    """
+    if len(rhs) == 2:
+        u, v = rhs
+        cross = [x * v - y * u for x, y in cols]
+        for i, j in combinations(range(len(cols)), 2):
+            (a, b), (c, e) = cols[i], cols[j]
+            d = a * e - b * c
+            if d and cross[i] * d >= 0 >= cross[j] * d:
+                sign = 1 if d > 0 else -1
+                yield (i, j), (-sign * cross[j], sign * cross[i]), sign * d
+        return
+    for subset in combinations(range(len(cols)), len(rhs)):
+        solved = linalg.solve_square(list(zip(*(cols[j] for j in subset))), rhs)
+        if solved is not None and all(x >= 0 for x in solved[0]):
+            yield subset, *solved
+
+
 def _gale_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
     """Vertices from the basic feasible slack vectors of ``Gamma s = Gamma b, s >= 0``.
 
     Each m-subset B with ``Gamma_B`` nonsingular gives ``s_B = Gamma_B^-1 Gamma b``
     as numerators over ``d = |det Gamma_B|`` and ``s = 0`` off B; it is a
-    vertex when the numerators are ``>= 0``, and a degenerate vertex is
-    reached from several B, so slack vectors are deduplicated.  The slacks
+    vertex when the numerators are ``>= 0`` (for m = 2 a sign rule on the
+    columns of ``Gamma``, see ``_feasible_bases``), and a degenerate vertex is
+    reached from several B, so slack vectors are deduplicated.  The budget is
+    the C(n, m) subsets, counted up front for every m.  The slacks
     are scaled by the common offset denominator so the right-hand side is
     integral.  The point is ``x = A_T^-1 (s_T - b_T)`` for the complement T
     of the first feasible basis, whose inverse is computed once as integer
@@ -369,13 +401,7 @@ def _gale_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
     seen = set()
     vertices = []
     recovery = None  # ({i in T: numerator column of A_T^-1}, numerators of A_T^-1 b_T, den)
-    for subset in combinations(range(n), m):
-        solved = linalg.solve_square(list(zip(*(cols[j] for j in subset))), rhs)
-        if solved is None:
-            continue
-        nums, d = solved
-        if any(x < 0 for x in nums):
-            continue
+    for subset, nums, d in _feasible_bases(cols, rhs):
         g = math.gcd(d, *nums)
         slack = {j: x // g for j, x in zip(subset, nums) if x}
         q = d // g

@@ -12,6 +12,11 @@ below, not from ``linalg``'s fraction-free kernel; only ``integer_kernel``,
 built in two steps, a saturated kernel basis and then its slack-ordered
 HNF, where the library runs one kernel on the reversed normals.  The differential tests therefore
 compare the library with a separate derivation of the same answers.
+
+``gale_vertex_set`` is the one exception: the library's Gale-side loop as it
+was before the m = 2 sign rule, every m-subset solved by
+``linalg.solve_square``.  It pins the sign rule's vertices, including the
+index of a degenerate vertex, to the subset search they replaced.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from delzant import linalg
-from delzant.polytopes import HPolytope
+from delzant.polytopes import HPolytope, VertexSet, _vertex
 
 
 def _rref(rows, width):
@@ -252,3 +257,52 @@ def is_fano(poly: HPolytope):
     if reduced is None:
         return False, None, None
     return True, constant, tuple(reduced[0])
+
+
+def gale_vertex_set(poly: HPolytope) -> VertexSet:
+    """The Gale side as an all-subsets search, for normals that span R^k.
+
+    Every m-subset B of the columns of ``Gamma`` is solved for
+    ``s_B = Gamma_B^-1 Gamma b``; B is kept when its numerators are >= 0,
+    and a slack vector reached again is skipped, so a degenerate vertex
+    keeps ``|det Gamma_B|`` of the first B in lexicographic order as its
+    index.  The points come from the complement of the first feasible B.
+    """
+    gamma, rhs = poly.relations, poly.relation_values
+    n, m = poly.n, len(gamma)
+    assert m == n - poly.dim
+    scale, offsets = poly.integer_offsets
+    cols = [tuple(row[j] for row in gamma) for j in range(n)]
+    seen = set()
+    vertices = []
+    recovery = None
+    for subset in combinations(range(n), m):
+        solved = linalg.solve_square(list(zip(*(cols[j] for j in subset))), rhs)
+        if solved is None:
+            continue
+        nums, d = solved
+        if any(x < 0 for x in nums):
+            continue
+        g = math.gcd(d, *nums)
+        slack = {j: x // g for j, x in zip(subset, nums) if x}
+        q = d // g
+        key = (*slack.items(), q)
+        if key in seen:
+            continue
+        seen.add(key)
+        if recovery is None:
+            tight = [i for i in range(n) if i not in subset]
+            numerators, den = linalg.inverse([poly.normals[i] for i in tight])
+            base = linalg.mat_vec(numerators, [offsets[i] for i in tight])
+            recovery = dict(zip(tight, zip(*numerators))), base, scale * den
+        columns, base, den = recovery
+        point = [-q * x for x in base]
+        for j, x in slack.items():
+            if j in columns:
+                point = [y + x * c for y, c in zip(point, columns[j])]
+        active = [i for i in range(n) if i not in slack]
+        vertices.append(_vertex(point, den * q, active, d))
+    if not vertices:
+        return VertexSet((), True, True, True)
+    vertices.sort(key=lambda v: v.point)
+    return VertexSet(tuple(vertices), _positive_relation(relations(poly), n), False, True)

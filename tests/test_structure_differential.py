@@ -4,7 +4,8 @@ Random presentations on both sides of the enumeration choice (m < k and
 m >= k), with non-simple vertices, duplicated facets, tangent inequalities,
 implicit equalities, and empty or unbounded feasible sets, must give the
 reference's vertices (points and active sets), flags, redundancy and
-Delzant verdicts.
+Delzant verdicts.  On m = 2 presentations the sign rule must also give the
+Gale-side subset search's vertices exactly, indices included.
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from delzant import linalg
+from delzant.families import parse_family_spec
 from delzant.polytopes import (
     HPolytope,
     PolytopeError,
@@ -326,6 +328,99 @@ class TestGaleMinors:
             minor = linalg.det([[row[j] for j in complement] for row in gamma])
             active = linalg.det([normals[i] for i in subset])
             assert abs(active) == lattice * abs(minor)
+
+
+def _plane_presentation(cols, y, extra):
+    """The presentation whose relation rows have the columns ``cols`` (rank 2):
+    its normals are the saturated integer kernel of ``Gamma``, so m = 2 and
+    k = n - 2, and its offsets are ``<a_i, y> + extra_i``, which makes
+    ``Gamma b = Gamma extra``.  None when a normal is zero."""
+    n = len(cols)
+    kernel = linalg.integer_kernel([list(row) for row in zip(*cols)])
+    normals = tuple(tuple(row[i] for row in kernel) for i in range(n))
+    if not all(map(any, normals)):
+        return None
+    offsets = (Fraction(linalg.dot(a, y) + e) for a, e in zip(normals, extra))
+    return HPolytope(n - 2, normals, tuple(offsets))
+
+
+@st.composite
+def plane_presentations(draw):
+    """m = 2 < k presentations drawn on the Gale side: n = k + 2 columns of
+    ``Gamma`` in [-2, 2]^2, a few of them copied with a factor of +-1 or +-2
+    (parallel and antiparallel columns), and ``Gamma b`` a random vector, a
+    positive multiple of one column (on its ray) or 0.  Non-simple vertices
+    and bounded, unbounded and empty sets all occur."""
+    k = draw(st.integers(3, 5))
+    n = k + 2
+    cols = draw(st.lists(st.tuples(small, small), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        factor = draw(st.sampled_from([1, -1, 2, -2]))
+        cols[j] = (factor * cols[i][0], factor * cols[i][1])
+    assume(linalg.rational_rank(cols) == 2)
+    extra = [0] * n
+    kind = draw(st.sampled_from(["random", "ray", "zero"]))
+    if kind == "random":
+        extra = draw(st.lists(offset, min_size=n, max_size=n))
+    elif kind == "ray":
+        extra[draw(st.integers(0, n - 1))] = draw(st.integers(1, 3))
+    poly = _plane_presentation(cols, draw(st.lists(offset, min_size=k, max_size=k)), extra)
+    assume(poly is not None)
+    return poly
+
+
+class TestGaleSignRule:
+    """m = 2: the vertices come from a sign rule on the columns of ``Gamma``,
+    and must equal those of solving every pair (``ref.gale_vertex_set``)."""
+
+    @SETTINGS
+    @given(plane_presentations())
+    def test_vertices_and_flags_equal_the_pair_search(self, poly):
+        assert len(poly.relations) == 2 < poly.dim
+        assert enumerate_vertices(poly) == ref.gale_vertex_set(poly)
+        assert_matches_reference(poly)
+
+    @pytest.mark.parametrize(
+        "cols, extra, active",
+        [
+            # Gamma b = 0 in a positively spanning set: one point, every index tight
+            ([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)], [0] * 5, [(0, 1, 2, 3, 4)]),
+            # Gamma b = gamma_0 = gamma_1 / 2: two vertices, each on one column's ray
+            (
+                [(1, 0), (2, 0), (-1, 1), (0, -1), (-1, 0)],
+                [1, 0, 0, 0, 0],
+                [(0, 2, 3, 4), (1, 2, 3, 4)],
+            ),
+        ],
+    )
+    def test_degenerate_vertices_equal_the_pair_search(self, cols, extra, active):
+        poly = _plane_presentation(cols, [0, 0, 0], extra)
+        vs = enumerate_vertices(poly)
+        assert sorted(v.active for v in vs.vertices) == active
+        assert vs == ref.gale_vertex_set(poly)
+        assert_matches_reference(poly)
+
+    def test_m_2_calls_no_solve_square(self, monkeypatch):
+        # a fall-back to solving every pair when m = 2 fails here
+        calls = []
+        solve = linalg.solve_square
+
+        def counting(rows, rhs):
+            calls.append(len(rows))
+            return solve(rows, rhs)
+
+        monkeypatch.setattr(linalg, "solve_square", counting)
+        for spec in ("redundant-simplex:n=13,k=8", "product-simplices:p=4,n=10,k=0"):
+            assert enumerate_vertices(parse_family_spec(spec)).vertices
+        assert calls == []
+        # the 5-simplex with two cuts has m = 3 < k = 5
+        unit = tuple(tuple(int(r == i) for r in range(5)) for i in range(5))
+        cuts = ((-1,) * 5, (1, 1, 0, 0, 0), (0, -1, 1, 0, 0))
+        poly = HPolytope(5, unit + cuts, (Fraction(1),) * 6 + (Fraction(2), Fraction(1)))
+        assert len(poly.relations) == 3 < poly.dim
+        assert enumerate_vertices(poly).vertices
+        assert calls and set(calls) == {3}
 
 
 rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -6,7 +6,10 @@ Lattices are represented by basis rows; the canonical representative of a
 row lattice is its row Hermite normal form, and the index of a full-rank
 lattice is read off its diagonal.  Square solves, determinants, ranks,
 inverses and affine solutions share one fraction-free (Bareiss)
-elimination kernel; the exact simplex pivots with the same step.
+elimination kernel; the exact simplex pivots with the same step.  Its
+public face ``solve`` takes an integer block ``[A | B]`` with any number
+of riding columns to ``|det A| * A^-1 B``; ``solve_square``, ``inverse``
+and the vertex edge walk in ``polytopes`` call it.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ def hnf(matrix: Matrix, transform: bool = False):
     n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
         raise LinearAlgebraError("ragged matrix")
-    unit = identity(m)
+    # without a transform the rows of ``unit`` are empty, so its updates do nothing
+    unit = identity(m) if transform else [[]] * m
     row = 0
     for col in range(n):
         if row == m:
@@ -213,11 +217,19 @@ class PivotBudgetError(LinearAlgebraError):
 
 def _leaving_row(tableau: list[list[int]], m: int, c: int, basis: list[int]) -> int | None:
     """Bland's ratio test: of the first m rows with a positive entry in column c, the
-    least ratio of right-hand side to entry, ties to the smallest basic variable."""
-    rows = [r for r in range(m) if tableau[r][c] > 0]
-    return min(
-        rows, key=lambda r: (Fraction(tableau[r][-1], tableau[r][c]), basis[r]), default=None
-    )
+    least ratio of right-hand side to entry, ties to the smallest basic variable.
+    Ratios are compared by cross-multiplying, as the entries are integers."""
+    best = None
+    for r in range(m):
+        entry = tableau[r][c]
+        if entry <= 0:
+            continue
+        if best is not None:
+            lhs, rhs = tableau[r][-1] * tableau[best][c], tableau[best][-1] * entry
+            if lhs > rhs or lhs == rhs and basis[r] > basis[best]:
+                continue
+        best = r
+    return best
 
 
 def simplex(rows: Matrix, rhs: Row, cost: Row | None = None, budget: int = 10**6):
@@ -277,12 +289,12 @@ def simplex(rows: Matrix, rhs: Row, cost: Row | None = None, budget: int = 10**6
     return Fraction(-tableau[m][n], den)
 
 
-def _solve(rows: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
-    """``(N, d)`` with ``A^-1 B == N / d`` and ``d > 0`` for integer rows ``[A | B]``.
+def solve(rows: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
+    """``(N, d)`` with ``A^-1 B == N / d`` and ``d == |det A|`` for integer rows ``[A | B]``.
 
-    ``A`` is the leading n x n block; returns None when it is singular.
-    After the elimination ``A`` has become ``d * I``, so the riding columns
-    are ``d * A^-1 B``.
+    ``A`` is the leading n x n block; returns None when it is singular.  The
+    rows are eliminated in place: ``A`` becomes ``d * I``, so the riding
+    columns, any number of them, are ``d * A^-1 B``.
     """
     if len(_bareiss(rows, n)[0]) < n:
         return None
@@ -303,7 +315,7 @@ def solve_square(rows: Matrix, rhs: Sequence) -> tuple[list[int], int] | None:
     integer rows ``d == |det rows|``, the kernel's last pivot; a rational row
     is first scaled by its own denominator lcm, which scales ``d`` with it.
     """
-    solved = _solve([scale_to_integers([*row, c])[0] for row, c in zip(rows, rhs)], len(rows))
+    solved = solve([scale_to_integers([*row, c])[0] for row, c in zip(rows, rhs)], len(rows))
     if solved is None:
         return None
     numerators, den = solved
@@ -336,7 +348,7 @@ def inverse(rows: Matrix) -> tuple[list[list[int]], int]:
         unit = [0] * n
         unit[i] = scale
         augmented.append(ints + unit)
-    solved = _solve(augmented, n)
+    solved = solve(augmented, n)
     if solved is None:
         raise LinearAlgebraError("matrix is singular")
     numerators, den = solved

@@ -18,27 +18,34 @@ invariants aligned with the natural presentation of those families.
 
 The vertices are enumerated once, and every predicate reads its answer
 from that result.  Vertices come from basis solving on the side
-with the smaller square systems: k-subsets of the inequalities when
+with the smaller square systems: the inequalities' k x k bases when
 k <= m, else m-subsets B of the Gale dual ``Gamma s = Gamma b, s >= 0``.
-For m = 2 (the paper's twisted products and redundant simplices) no pair
-is solved: a pair of columns of ``Gamma`` is a feasible basis exactly when
-``Gamma b`` lies in its cone, a sign rule on three 2 x 2 determinants, and
-Cramer's rule gives its slacks.  Either side's budget is the C(n, k) =
-C(n, m) subsets, counted up front.  Boundedness, the feasibility
+On the primal side the first feasible k-subset, in lexicographic order,
+starts a walk along the edges: at each vertex every basis of its active
+set is one elimination that gives the edge directions and the rates of
+all slacks along them, and a ratio test gives each neighbour, so only the
+start scan tries subsets that are not vertex bases.  For m = 2 (the
+paper's twisted products and redundant simplices) no pair is solved: a
+pair of columns of ``Gamma`` is a feasible basis exactly when ``Gamma b``
+lies in its cone, a sign rule on three 2 x 2 determinants, and Cramer's
+rule gives its slacks.  Either side's budget is the C(n, k) = C(n, m)
+subsets, counted up front.  Boundedness, the feasibility
 of a rank-deficient system and the redundancy of an index on an empty
 polytope or one with an implicit equality are each one exact LP on
 ``Gamma`` (``linalg.simplex``); otherwise redundancy is read off the
 vertex-facet incidence.
 
-The subset loops stay in integers: each basis solve is integer numerators
-over ``d = |det|`` of its basis matrix, and feasibility, deduplication and
-the vertex order are decided on integers; a vertex's point becomes
-Fractions only when it is read.  A simple vertex is reached from exactly
-one basis, so its index, that of its active normals' sublattice in the
-normal lattice L, comes from that solve: it is ``|det A_S| / det L`` on
-the primal side and the m x m minor ``|det Gamma_B|`` on the complement B
-of its active set on the Gale side, which are equal for a saturated
-``Gamma``.
+Both enumerations stay in integers: each basis solve is integer numerators
+over ``d = |det|`` of its basis matrix, an edge step is an integer update
+of a point and its slacks over one denominator, and feasibility, the ratio
+test, deduplication and the vertex order are decided on integers; a
+vertex's point becomes Fractions only when it is read.  A simple vertex
+has exactly one basis, so its index, that of its active normals'
+sublattice in the normal lattice L, comes from that solve: it is
+``|det A_S| / det L`` on the primal side and the m x m minor
+``|det Gamma_B|`` on the complement B of its active set on the Gale side,
+which are equal for a saturated ``Gamma``.  A degenerate vertex takes the
+index of its first basis in lexicographic order on either side.
 """
 
 from __future__ import annotations
@@ -141,10 +148,11 @@ class Vertex:
     indices tight at it.
 
     ``index`` is the index, in the normal lattice L, of the sublattice
-    spanned by the k normals S of the basis the vertex was first reached
-    from, read off that basis solve: ``|det A_S| / det L`` on the primal
-    side and ``|det Gamma_B|`` for the complement B of S on the Gale side.
-    A simple vertex has exactly one such basis, its active set.
+    spanned by the k normals S of the vertex's first basis in lexicographic
+    order, read off that basis solve: ``|det A_S| / det L`` on the primal
+    side, where the edge walk eliminates the k-subsets of the active set in
+    that order, and ``|det Gamma_B|`` for the complement B of S on the Gale
+    side.  A simple vertex has exactly one such basis, its active set.
     """
 
     numerators: tuple[int, ...]
@@ -314,41 +322,97 @@ def is_bounded(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> bool:
     return len(poly.relations) == poly.n - poly.dim and _bounded(poly, budget)
 
 
-def _primal_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
-    """Vertices from every k-subset S of the inequalities, solved for the point.
-
-    With e the offsets scaled by their common denominator, ``A_S y = -e_S``
-    gives the scaled point ``y = N / d`` with ``d = |det A_S|``; it is
-    feasible when ``<a_i, N> + d * e_i >= 0`` for every i.  The normals
-    span R^k, so the active normals span a sublattice of index
-    ``d / det L`` in the normal lattice L.
-    """
-    scale, offsets = poly.integer_offsets
-    _check_budget("vertex enumeration (k-subsets)", poly.n, poly.dim, budget)
-    lattice = poly.normal_lattice_det
-    seen = set()
-    vertices = []
-    for subset in combinations(range(poly.n), poly.dim):
-        solved = linalg.solve_square(
-            [poly.normals[i] for i in subset], [-offsets[i] for i in subset]
-        )
+def _first_vertex(normals, offsets, k: int):
+    """``(N, d, slacks)`` for the first k-subset S, in lexicographic order, whose
+    solve ``A_S y = -e_S = N / d`` has no negative slack ``<a_i, N> + d * e_i``;
+    None when there is none."""
+    for subset in combinations(range(len(normals)), k):
+        solved = linalg.solve_square([normals[i] for i in subset], [-offsets[i] for i in subset])
         if solved is None:
             continue
         nums, d = solved
-        g = math.gcd(d, *nums)
-        key = (*(x // g for x in nums), d // g)
-        if key in seen:
-            continue
-        seen.add(key)
-        active = []
-        for i, (a, e) in enumerate(zip(poly.normals, offsets)):
+        slacks = []
+        for a, e in zip(normals, offsets):
             value = sum(x * y for x, y in zip(a, nums) if x) + e * d
             if value < 0:
                 break
-            if not value:
-                active.append(i)
+            slacks.append(value)
         else:
-            vertices.append(_vertex(nums, d * scale, active, d // lattice))
+            return nums, d, slacks
+    return None
+
+
+def _primal_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
+    """Vertices by a walk along the edges from the first feasible k-subset.
+
+    With e the offsets scaled by their common denominator, a point
+    ``y = N / D`` carries its slacks ``<a_i, N> + D * e_i`` over the same D.
+    The start is the first k-subset S, in lexicographic order, whose solve
+    ``A_S y = -e_S`` (``d = |det A_S|``) has no negative slack; an empty
+    polytope tries them all.  At a vertex with active set S, each k-subset B
+    of S with nonsingular normals is one elimination of ``[A_B^T | A | I]``:
+    row c holds the rates ``a_j . D_c`` of every slack along the direction
+    ``D_c`` that leaves facet ``B[c]`` and keeps the rest of B tight, then
+    ``D_c`` itself, all times ``d = |det A_B|``.  ``D_c`` is an edge when
+    no slack in S falls along it; the ratio test over the falling slacks
+    outside S, by cross-multiplication, finds the neighbour, and an edge
+    that nothing blocks is an unbounded ray.  The vertices of a pointed
+    polyhedron and its bounded edges form a connected graph (Balinski,
+    1961), and every edge is some ``D_c``, so the walk reaches every vertex.
+    A vertex's index is ``d / det L`` for the first nonsingular B, which is
+    the first k-subset in lexicographic order that solves to the vertex.
+    The budget is still the C(n, k) subsets, counted up front.
+    """
+    scale, offsets = poly.integer_offsets
+    _check_budget("vertex enumeration (k-subsets)", poly.n, poly.dim, budget)
+    k, n, normals = poly.dim, poly.n, poly.normals
+    first = _first_vertex(normals, offsets, k)
+    if first is None:
+        return []
+    lattice = poly.normal_lattice_det
+    # [A | I], under the k columns of A_B^T
+    tail = [[*row, *unit] for row, unit in zip(poly.matrix(), linalg.identity(k))]
+    seen = set()
+    stack = []
+
+    def reach(point, den, slacks):
+        # queue point / den with its slacks over den, in lowest terms, unless seen
+        g = math.gcd(den, *point)
+        key = (tuple(x // g for x in point), den // g)
+        if key not in seen:
+            seen.add(key)
+            stack.append((*key, [x // g for x in slacks]))
+
+    reach(*first)
+    vertices = []
+    while stack:
+        nums, den, slacks = stack.pop()
+        active = [j for j, x in enumerate(slacks) if not x]
+        index = None
+        for basis in combinations(active, k):
+            rows = [[normals[i][r] for i in basis] + row for r, row in enumerate(tail)]
+            solved = linalg.solve(rows, k)
+            if solved is None:
+                continue
+            eliminated, d = solved
+            if index is None:
+                index = d // lattice
+            for row in eliminated:
+                rates, direction = row[:n], row[n:]
+                if any(rates[j] < 0 for j in active):
+                    continue
+                # ratio test over the slacks outside S: the least x / -rate is v / w
+                v = w = None
+                for x, rate in zip(slacks, rates):
+                    if rate < 0 and x and (w is None or x * w < v * -rate):
+                        v, w = x, -rate
+                if w is not None:
+                    reach(
+                        [w * x + v * y for x, y in zip(nums, direction)],
+                        den * w,
+                        [w * x + v * y for x, y in zip(slacks, rates)],
+                    )
+        vertices.append(_vertex(nums, den * scale, active, index))
     return vertices
 
 

@@ -13,10 +13,11 @@ built in two steps, a saturated kernel basis and then its slack-ordered
 HNF, where the library runs one kernel on the reversed normals.  The differential tests therefore
 compare the library with a separate derivation of the same answers.
 
-``gale_vertex_set`` is the one exception: the library's Gale-side loop as it
-was before the m = 2 sign rule, every m-subset solved by
-``linalg.solve_square``.  It pins the sign rule's vertices, including the
-index of a degenerate vertex, to the subset search they replaced.
+``gale_vertex_set`` and ``primal_vertex_set`` are the exceptions: the
+library's two subset loops as they were before the m = 2 sign rule and the
+primal edge walk, every m-subset (k-subset) solved by
+``linalg.solve_square``.  They pin the new enumerators' vertices, including
+the index of a degenerate vertex, to the subset searches they replaced.
 """
 
 from __future__ import annotations
@@ -306,3 +307,44 @@ def gale_vertex_set(poly: HPolytope) -> VertexSet:
         return VertexSet((), True, True, True)
     vertices.sort(key=lambda v: v.point)
     return VertexSet(tuple(vertices), _positive_relation(relations(poly), n), False, True)
+
+
+def primal_vertex_set(poly: HPolytope) -> VertexSet:
+    """The primal side as an all-subsets search, for normals that span R^k.
+
+    Every k-subset S of the inequalities is solved for ``y = N / d`` with
+    ``d = |det A_S|``; the point is kept when no slack ``<a_i, N> + d * e_i``
+    is negative, and a point reached again is skipped, so a degenerate
+    vertex keeps ``d / det L`` of the first S in lexicographic order as its
+    index.
+    """
+    assert len(poly.relations) == poly.n - poly.dim
+    scale, offsets = poly.integer_offsets
+    lattice = poly.normal_lattice_det
+    seen = set()
+    vertices = []
+    for subset in combinations(range(poly.n), poly.dim):
+        solved = linalg.solve_square(
+            [poly.normals[i] for i in subset], [-offsets[i] for i in subset]
+        )
+        if solved is None:
+            continue
+        nums, d = solved
+        g = math.gcd(d, *nums)
+        key = (*(x // g for x in nums), d // g)
+        if key in seen:
+            continue
+        seen.add(key)
+        active = []
+        for i, (a, e) in enumerate(zip(poly.normals, offsets)):
+            value = sum(x * y for x, y in zip(a, nums) if x) + e * d
+            if value < 0:
+                break
+            if not value:
+                active.append(i)
+        else:
+            vertices.append(_vertex(nums, d * scale, active, d // lattice))
+    if not vertices:
+        return VertexSet((), True, True, True)
+    vertices.sort(key=lambda v: v.point)
+    return VertexSet(tuple(vertices), _positive_relation(relations(poly), poly.n), False, True)

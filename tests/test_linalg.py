@@ -60,6 +60,16 @@ class TestHnf:
     def test_zero_row(self):
         assert linalg.hnf([[0, 0]]) == [[0, 0]]
 
+    def test_transform_only_on_request(self, monkeypatch):
+        calls = []
+        identity = linalg.identity
+        monkeypatch.setattr(linalg, "identity", lambda n: calls.append(n) or identity(n))
+        m = [[2, 4, 1], [1, 1, 3], [0, 6, 2]]
+        h = linalg.hnf(m)
+        assert calls == []
+        assert linalg.hnf(m, transform=True)[0] == h
+        assert calls == [3]
+
     @given(small_matrices())
     @settings(max_examples=150, deadline=None)
     def test_transform_is_unimodular(self, m):

@@ -4,13 +4,17 @@ Random presentations on both sides of the enumeration choice (m < k and
 m >= k), with non-simple vertices, duplicated facets, tangent inequalities,
 implicit equalities, and empty or unbounded feasible sets, must give the
 reference's vertices (points and active sets), flags, redundancy and
-Delzant verdicts.  On m = 2 presentations the sign rule must also give the
-Gale-side subset search's vertices exactly, indices included.
+Delzant verdicts.  On m = 2 presentations the sign rule, and on m >= k ones
+the primal edge walk, must also give the subset search they replaced
+exactly, indices included.
 """
 
+import importlib.util
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -421,6 +425,123 @@ class TestGaleSignRule:
         assert len(poly.relations) == 3 < poly.dim
         assert enumerate_vertices(poly).vertices
         assert calls and set(calls) == {3}
+
+
+def _load_perfbench(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@st.composite
+def primal_presentations(draw):
+    """m >= k presentations, k = 0 to 3, translated by a rational vector.
+
+    A box ``[-h, h]^k`` cut through some of its corners (non-simple
+    vertices), or a pyramid whose apex lies on every lateral facet (many
+    when k = 3; unbounded when the lateral normals do not positively span
+    the base plane); for k = 0, offsets alone.  Then a few edits: a row
+    dropped (unbounded, still pointed, or not pointed), a row duplicated or
+    doubled, and an opposite row that empties the set; in random order.
+    """
+    k = draw(st.integers(0, 3))
+    h = draw(st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=3))
+    unit = [tuple(int(r == i) for r in range(k)) for i in range(k)]
+    normal = st.lists(small, min_size=k, max_size=k).filter(any).map(tuple)
+    if not k:
+        normals = [()] * draw(st.integers(0, 4))
+        offsets = draw(st.lists(offset, min_size=len(normals), max_size=len(normals)))
+    elif draw(st.booleans()):
+        normals = [s for e in unit for s in (e, tuple(-x for x in e))]
+        offsets = [h] * (2 * k)
+        for _ in range(draw(st.integers(0, 3))):
+            a = draw(normal)
+            corner = [draw(st.sampled_from([h, -h])) for _ in range(k)]
+            normals.append(a)
+            offsets.append(-linalg.dot(a, corner))
+    else:
+        # the base x_k >= 0 and the lateral facets x_k <= h + <u, x'> through (0, ..., 0, h)
+        lateral = st.lists(small, min_size=k - 1, max_size=k - 1).map(lambda u: (*u, -1))
+        normals = [unit[-1], *draw(st.lists(lateral, min_size=2 * k - 1, max_size=2 * k + 3))]
+        offsets = [Fraction(0)] + [h] * (len(normals) - 1)
+    for kind in draw(st.lists(st.sampled_from(["drop", "duplicate", "empty"]), max_size=3)):
+        if not normals:
+            break
+        i = draw(st.integers(0, len(normals) - 1))
+        if kind == "drop":
+            del normals[i], offsets[i]
+        elif kind == "duplicate":
+            scale = draw(st.integers(1, 2))
+            normals.append(tuple(scale * x for x in normals[i]))
+            offsets.append(scale * offsets[i])
+        else:  # <a_i, x> <= -b_i - gap misses <a_i, x> >= -b_i
+            normals.append(tuple(-x for x in normals[i]))
+            offsets.append(-offsets[i] - draw(offset.filter(bool)) ** 2)
+    y = draw(st.lists(offset, min_size=k, max_size=k))
+    offsets = [b + linalg.dot(a, y) for a, b in zip(normals, offsets)]
+    order = draw(st.permutations(range(len(normals))))
+    return HPolytope(k, tuple(normals[i] for i in order), tuple(offsets[i] for i in order))
+
+
+class TestPrimalEdgeWalk:
+    """m >= k: the vertices come from a walk along edges from one feasible
+    basis, and must equal those of solving every k-subset
+    (``ref.primal_vertex_set``), the index of a degenerate vertex included."""
+
+    @SETTINGS
+    @given(primal_presentations())
+    def test_vertex_set_equals_the_subset_search(self, poly):
+        assume(len(poly.relations) == poly.n - poly.dim >= poly.dim)
+        assert enumerate_vertices(poly) == ref.primal_vertex_set(poly)
+        assert_matches_reference(poly)
+
+    @pytest.mark.parametrize(
+        "poly, active, indices",
+        [
+            # the octahedron |x| + |y| + |z| <= 1: every vertex is on four facets
+            (
+                HPolytope(3, tuple(product((1, -1), repeat=3)), (Fraction(1),) * 8),
+                [(0, 1, 2, 3), (0, 1, 4, 5), (0, 2, 4, 6), (1, 3, 5, 7), (2, 3, 6, 7), (4, 5, 6, 7)],
+                (1,) * 6,
+            ),
+            # a pyramid whose apex (0, 0, 1) is on six facets, its first basis of
+            # index 2 and its last of index 6, and one base corner on five
+            (
+                HPolytope(
+                    3,
+                    tuple((*u, -1) for u in ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 2), (-2, -1)))
+                    + ((0, 0, 1),),
+                    (Fraction(1),) * 6 + (Fraction(0),),
+                ),
+                [(0, 4, 6), (0, 3, 6), (0, 1, 2, 3, 4, 5), (3, 5, 6), (1, 2, 4, 5, 6)],
+                (2, 1, 2, 2, 1),
+            ),
+        ],
+    )
+    def test_degenerate_vertices_equal_the_subset_search(self, poly, active, indices):
+        vs = enumerate_vertices(poly)
+        assert [v.active for v in vs.vertices] == active
+        assert tuple(v.index for v in vs.vertices) == indices
+        assert vs == ref.primal_vertex_set(poly)
+        assert_matches_reference(poly)
+
+    def test_walk_solves_far_fewer_systems_than_the_subsets(self, monkeypatch):
+        # the seed-7 cut box (k, n) = (6, 20) has 38,760 6-subsets and 134
+        # vertices; a return to solving every subset fails here
+        calls = []
+        solve = linalg.solve
+
+        def counting(rows, n):
+            calls.append(n)
+            return solve(rows, n)
+
+        monkeypatch.setattr(linalg, "solve", counting)
+        normals, offsets = _load_perfbench("workloads").random_cut_box(random.Random(7), 6, 20)
+        vs = enumerate_vertices(HPolytope(6, normals, tuple(map(Fraction, offsets))))
+        assert len(vs.vertices) == 134 and vs.bounded
+        assert 0 < len(calls) < 2_000
 
 
 rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -129,7 +129,11 @@ def analyze_polytope(
         oracle_loops = [
             orc.TorusLoop(coords, doubled=True, samples=samples) for coords in loops.basis
         ]
-        checks = tuple(orc.oracle_checks(system, oracle_loops, family=family, seed=seed))
+        checks = tuple(
+            orc.oracle_checks(
+                system, oracle_loops, family=family, seed=seed, vertex_set=structure.vertex_set
+            )
+        )
         areas = [r["actual"] for r in checks if r["check"].startswith("area")]
         # the doubled realization of a class measures twice its area
         measured = {c: a / (2 * math.pi) for c, a in zip(loops.basis, areas)}

@@ -41,10 +41,6 @@ def mat_mul(a: Matrix, b: Matrix) -> list[list]:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_vec(matrix: Matrix, vec: Sequence) -> list:
-    return [sum(x * y for x, y in zip(row, vec)) for row in matrix]
-
-
 def dot(u: Sequence, v: Sequence) -> object:
     return sum(x * y for x, y in zip(u, v))
 

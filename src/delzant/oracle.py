@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .families import FamilyRangeWarning, parse_family_spec
 from .quadrics import QuadricSystem, quadrics_to_polytope
-from .polytopes import enumerate_vertices
+from .polytopes import VertexSet, enumerate_vertices
 
 
 class OracleError(RuntimeError):
@@ -99,45 +99,39 @@ def _family_point(system: QuadricSystem, family: str) -> np.ndarray:
     return np.sqrt(np.array([float(b) for b in poly.offsets]))
 
 
-def sample_point(system: QuadricSystem, family: str | None = None, seed: int = 0) -> RPoint:
+def sample_point(
+    system: QuadricSystem,
+    family: str | None = None,
+    seed: int = 0,
+    vertex_set: VertexSet | None = None,
+) -> RPoint:
     """A point of the variety, deterministic for a fixed seed.
 
     With a family spec (as ``families.family_spec`` names it) the square
-    roots of that presentation's slacks at the origin are the exact point;
-    otherwise the slack vector of a seeded convex combination of polytope
-    vertices supplies exact squares, and Newton refinement removes the
-    square-root rounding.
+    roots of that presentation's slacks at the origin are the exact point.
+    Otherwise ``u^2`` is a seeded convex combination of the vertices' exact
+    slack vectors, which lies in the variety's slack polytope
+    ``Gamma s = delta, s >= 0``, and Newton refinement removes the
+    square-root rounding.  ``vertex_set`` is the ``enumerate_vertices`` result
+    of a presentation of ``system`` (its slack vectors do not depend on the
+    presentation), enumerated on ``quadrics_to_polytope(system)`` when not
+    given.
     """
     if not family:
-        poly = quadrics_to_polytope(system)
-        vertex_set = enumerate_vertices(poly)
+        if vertex_set is None:
+            vertex_set = enumerate_vertices(quadrics_to_polytope(system))
         if not vertex_set.vertices:
             raise OracleError("the variety is empty or has no usable polytope point")
+        # int / int is correctly rounded, as float(Fraction) is
+        slacks = np.array([[x / v.den for x in v.slacks] for v in vertex_set.vertices])
         rng = np.random.default_rng(seed)
-        last_error = None
         for _ in range(DEFAULT_CONFIG.restarts):
-            weights = rng.random(len(vertex_set.vertices))
-            weights /= weights.sum()
-            x = np.zeros(poly.dim)
-            for w, vertex in zip(weights, vertex_set.vertices):
-                x += w * np.array([float(c) for c in vertex.point])
-            slacks = np.array(
-                [
-                    float(sum(a_i * x_i for a_i, x_i in zip(a, x)) + float(b))
-                    for a, b in zip(poly.normals, poly.offsets)
-                ]
-            )
-            if np.min(slacks) < 0:
-                last_error = OracleError("sampled point left the polytope")
-                continue
-            u = _newton_polish(system, np.sqrt(np.maximum(slacks, 0.0)))
+            weights = rng.random(len(slacks))
+            u = _newton_polish(system, np.sqrt(weights / weights.sum() @ slacks))
             r = residuals(system, u)
             if np.max(np.abs(r)) <= DEFAULT_CONFIG.residual_tol:
                 return RPoint(u, r)
-            last_error = OracleError(
-                f"Newton refinement stalled at residual {np.max(np.abs(r)):.2e}"
-            )
-        raise last_error
+        raise OracleError(f"Newton refinement stalled at residual {np.max(np.abs(r)):.2e}")
     u = _newton_polish(system, _family_point(system, family))
     r = residuals(system, u)
     if np.max(np.abs(r)) > DEFAULT_CONFIG.residual_tol:
@@ -284,10 +278,14 @@ def check_record(name, expected, actual, tolerance):
 
 
 def oracle_checks(
-    system: QuadricSystem, loops: list[TorusLoop], family: str | None = None, seed: int = 0
+    system: QuadricSystem,
+    loops: list[TorusLoop],
+    family: str | None = None,
+    seed: int = 0,
+    vertex_set: VertexSet | None = None,
 ) -> list[dict]:
     """Area and winding comparisons for a batch of loops at one sampled point."""
-    point = sample_point(system, family=family, seed=seed)
+    point = sample_point(system, family=family, seed=seed, vertex_set=vertex_set)
     records = [
         check_record(
             "point-residual",

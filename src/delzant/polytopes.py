@@ -22,9 +22,9 @@ with the smaller square systems: the inequalities' k x k bases when
 k <= m, else m-subsets B of the Gale dual ``Gamma s = Gamma b, s >= 0``.
 On the primal side the first feasible k-subset, in lexicographic order,
 starts a walk along the edges: at each vertex every basis of its active
-set is one elimination that gives the edge directions and the rates of
-all slacks along them, and a ratio test gives each neighbour, so only the
-start scan tries subsets that are not vertex bases.  For m = 2 (the
+set is one elimination that gives the rates of all slacks along its edge
+directions, and a ratio test gives each neighbour, so only the start scan
+tries subsets that are not vertex bases.  For m = 2 (the
 paper's twisted products and redundant simplices) no pair is solved: a
 pair of columns of ``Gamma`` is a feasible basis exactly when ``Gamma b``
 lies in its cone, a sign rule on three 2 x 2 determinants, and Cramer's
@@ -35,13 +35,18 @@ polytope or one with an implicit equality are each one exact LP on
 ``Gamma`` (``linalg.simplex``); otherwise redundancy is read off the
 vertex-facet incidence.
 
-Both enumerations stay in integers: each basis solve is integer numerators
-over ``d = |det|`` of its basis matrix, an edge step is an integer update
-of a point and its slacks over one denominator, and feasibility, the ratio
-test, deduplication and the vertex order are decided on integers; a
-vertex's point becomes Fractions only when it is read.  A simple vertex
-has exactly one basis, so its index, that of its active normals'
-sublattice in the normal lattice L, comes from that solve: it is
+A vertex is recorded by its slack vector ``s = A^T x + b``, the point of
+the slack embedding that the quadric system ``Gamma u^2 = delta`` is built
+on (``u_j^2 = s_j``), and never by its point x: the structure predicates
+read only its tight set and index, and the oracle samples slack vectors.
+As the normals span, ``x -> A^T x + b`` is injective, so the slack vector
+names the vertex.  Both enumerations stay in integers: a Gale basis solve
+gives the slacks as integer numerators over ``d = |det|`` of its basis
+matrix, a primal edge step is an integer update of the slacks over one
+denominator, and feasibility, the ratio test, deduplication and the
+vertex order are decided on integers.  A simple vertex has exactly one
+basis, so its index, that of its active normals' sublattice in the normal
+lattice L, comes from that solve: it is
 ``|det A_S| / det L`` on the primal side and the m x m minor
 ``|det Gamma_B|`` on the complement B of its active set on the Gale side,
 which are equal for a saturated ``Gamma``.  A degenerate vertex takes the
@@ -144,8 +149,8 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class Vertex:
-    """The point ``numerators / den`` (lowest terms, ``den > 0``) and the
-    indices tight at it.
+    """The slack vector ``s = A^T x + b`` of a vertex x as ``slacks / den``
+    (lowest terms, ``den > 0``), and the indices tight at it, its zero slacks.
 
     ``index`` is the index, in the normal lattice L, of the sublattice
     spanned by the k normals S of the vertex's first basis in lexicographic
@@ -155,20 +160,16 @@ class Vertex:
     side.  A simple vertex has exactly one such basis, its active set.
     """
 
-    numerators: tuple[int, ...]
+    slacks: tuple[int, ...]
     den: int
     active: tuple[int, ...]
     index: int
 
-    @property
-    def point(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.numerators)
 
-
-def _vertex(numerators, den: int, active, index: int) -> Vertex:
-    """A ``Vertex`` with ``numerators / den`` brought to lowest terms."""
-    g = math.gcd(den, *numerators)
-    return Vertex(tuple(x // g for x in numerators), den // g, tuple(active), index)
+def _vertex(slacks, den: int, active, index: int) -> Vertex:
+    """A ``Vertex`` with ``slacks / den`` brought to lowest terms."""
+    g = math.gcd(den, *slacks)
+    return Vertex(tuple(x // g for x in slacks), den // g, tuple(active), index)
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,9 @@ class VertexSet:
 
 @dataclass(frozen=True)
 class StructureReport:
+    """The structural verdicts and the one vertex enumeration they were read from."""
+
+    vertex_set: VertexSet
     bounded: bool
     empty: bool
     simple: bool | None
@@ -323,7 +327,7 @@ def is_bounded(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> bool:
 
 
 def _first_vertex(normals, offsets, k: int):
-    """``(N, d, slacks)`` for the first k-subset S, in lexicographic order, whose
+    """``(d, slacks)`` for the first k-subset S, in lexicographic order, whose
     solve ``A_S y = -e_S = N / d`` has no negative slack ``<a_i, N> + d * e_i``;
     None when there is none."""
     for subset in combinations(range(len(normals)), k):
@@ -338,7 +342,7 @@ def _first_vertex(normals, offsets, k: int):
                 break
             slacks.append(value)
         else:
-            return nums, d, slacks
+            return d, slacks
     return None
 
 
@@ -346,17 +350,17 @@ def _primal_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
     """Vertices by a walk along the edges from the first feasible k-subset.
 
     With e the offsets scaled by their common denominator, a point
-    ``y = N / D`` carries its slacks ``<a_i, N> + D * e_i`` over the same D.
-    The start is the first k-subset S, in lexicographic order, whose solve
-    ``A_S y = -e_S`` (``d = |det A_S|``) has no negative slack; an empty
-    polytope tries them all.  At a vertex with active set S, each k-subset B
-    of S with nonsingular normals is one elimination of ``[A_B^T | A | I]``:
-    row c holds the rates ``a_j . D_c`` of every slack along the direction
-    ``D_c`` that leaves facet ``B[c]`` and keeps the rest of B tight, then
-    ``D_c`` itself, all times ``d = |det A_B|``.  ``D_c`` is an edge when
-    no slack in S falls along it; the ratio test over the falling slacks
-    outside S, by cross-multiplication, finds the neighbour, and an edge
-    that nothing blocks is an unbounded ray.  The vertices of a pointed
+    ``y = N / D`` has the slacks ``<a_i, N> + D * e_i`` over D, and the walk
+    carries only these.  The start is the first k-subset S, in lexicographic
+    order, whose solve ``A_S y = -e_S`` (``d = |det A_S|``) has no negative
+    slack; an empty polytope tries them all.  At a vertex with active set S,
+    each k-subset B of S with nonsingular normals is one elimination of
+    ``[A_B^T | A]``: row c holds the rates ``a_j . D_c`` of every slack along
+    the direction ``D_c`` that leaves facet ``B[c]`` and keeps the rest of B
+    tight, times ``d = |det A_B|``.  ``D_c`` is an edge when no slack in S
+    falls along it; the ratio test over the falling slacks outside S, by
+    cross-multiplication, finds the neighbour's slacks, and an edge that
+    nothing blocks is an unbounded ray.  The vertices of a pointed
     polyhedron and its bounded edges form a connected graph (Balinski,
     1961), and every edge is some ``D_c``, so the walk reaches every vertex.
     A vertex's index is ``d / det L`` for the first nonsingular B, which is
@@ -365,40 +369,37 @@ def _primal_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
     """
     scale, offsets = poly.integer_offsets
     _check_budget("vertex enumeration (k-subsets)", poly.n, poly.dim, budget)
-    k, n, normals = poly.dim, poly.n, poly.normals
+    k, normals, matrix = poly.dim, poly.normals, poly.matrix()
     first = _first_vertex(normals, offsets, k)
     if first is None:
         return []
     lattice = poly.normal_lattice_det
-    # [A | I], under the k columns of A_B^T
-    tail = [[*row, *unit] for row, unit in zip(poly.matrix(), linalg.identity(k))]
     seen = set()
     stack = []
 
-    def reach(point, den, slacks):
-        # queue point / den with its slacks over den, in lowest terms, unless seen
-        g = math.gcd(den, *point)
-        key = (tuple(x // g for x in point), den // g)
+    def reach(den, slacks):
+        # queue slacks / den in lowest terms, unless seen
+        g = math.gcd(den, *slacks)
+        key = (den // g, tuple(x // g for x in slacks))
         if key not in seen:
             seen.add(key)
-            stack.append((*key, [x // g for x in slacks]))
+            stack.append(key)
 
     reach(*first)
     vertices = []
     while stack:
-        nums, den, slacks = stack.pop()
+        den, slacks = stack.pop()
         active = [j for j, x in enumerate(slacks) if not x]
         index = None
         for basis in combinations(active, k):
-            rows = [[normals[i][r] for i in basis] + row for r, row in enumerate(tail)]
+            rows = [[normals[i][r] for i in basis] + row for r, row in enumerate(matrix)]
             solved = linalg.solve(rows, k)
             if solved is None:
                 continue
             eliminated, d = solved
             if index is None:
                 index = d // lattice
-            for row in eliminated:
-                rates, direction = row[:n], row[n:]
+            for rates in eliminated:
                 if any(rates[j] < 0 for j in active):
                     continue
                 # ratio test over the slacks outside S: the least x / -rate is v / w
@@ -407,12 +408,8 @@ def _primal_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
                     if rate < 0 and x and (w is None or x * w < v * -rate):
                         v, w = x, -rate
                 if w is not None:
-                    reach(
-                        [w * x + v * y for x, y in zip(nums, direction)],
-                        den * w,
-                        [w * x + v * y for x, y in zip(slacks, rates)],
-                    )
-        vertices.append(_vertex(nums, den * scale, active, index))
+                    reach(den * w, [w * x + v * y for x, y in zip(slacks, rates)])
+        vertices.append(_vertex(slacks, den * scale, active, index))
     return vertices
 
 
@@ -450,47 +447,33 @@ def _gale_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
     vertex when the numerators are ``>= 0`` (for m = 2 a sign rule on the
     columns of ``Gamma``, see ``_feasible_bases``), and a degenerate vertex is
     reached from several B, so slack vectors are deduplicated.  The budget is
-    the C(n, m) subsets, counted up front for every m.  The slacks
-    are scaled by the common offset denominator so the right-hand side is
-    integral.  The point is ``x = A_T^-1 (s_T - b_T)`` for the complement T
-    of the first feasible basis, whose inverse is computed once as integer
-    numerators over one denominator; as s has at most m nonzero entries,
-    each point is ``A_T^-1 b_T`` plus at most m columns of the inverse.
+    the C(n, m) subsets, counted up front for every m.  The slacks are
+    scaled by the common offset denominator so the right-hand side is
+    integral; the vertex records them over ``d`` times that denominator.
     """
     relations, rhs = poly.relations, poly.relation_values
     n, m = poly.n, len(relations)
     _check_budget("vertex enumeration (Gale m-subsets)", n, m, budget)
-    scale, offsets = poly.integer_offsets
+    scale = poly.integer_offsets[0]
     cols = [tuple(row[j] for row in relations) for j in range(n)]
     seen = set()
     vertices = []
-    recovery = None  # ({i in T: numerator column of A_T^-1}, numerators of A_T^-1 b_T, den)
     for subset, nums, d in _feasible_bases(cols, rhs):
         g = math.gcd(d, *nums)
-        slack = {j: x // g for j, x in zip(subset, nums) if x}
-        q = d // g
-        key = (*slack.items(), q)
-        if key in seen:
-            continue
-        seen.add(key)
-        if recovery is None:
-            chosen = set(subset)
-            tight = [i for i in range(n) if i not in chosen]
-            numerators, den = linalg.inverse([poly.normals[i] for i in tight])
-            base = linalg.mat_vec(numerators, [offsets[i] for i in tight])
-            recovery = dict(zip(tight, zip(*numerators))), base, scale * den
-        columns, base, den = recovery
-        point = [-q * x for x in base]
-        for j, x in slack.items():
-            if j in columns:
-                point = [y + x * c for y, c in zip(point, columns[j])]
-        active = [i for i in range(n) if i not in slack]
-        vertices.append(_vertex(point, den * q, active, d))
+        slacks = [0] * n
+        for j, x in zip(subset, nums):
+            slacks[j] = x // g
+        key = (d // g, *slacks)
+        if key not in seen:
+            seen.add(key)
+            active = [j for j, x in enumerate(slacks) if not x]
+            vertices.append(_vertex(slacks, d // g * scale, active, d))
     return vertices
 
 
 def enumerate_vertices(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> VertexSet:
-    """All vertices with their full active sets, plus emptiness/boundedness flags.
+    """All vertices with their full active sets, in the order of their slack
+    vectors, plus emptiness/boundedness flags.
 
     The enumeration runs on the side with the smaller square systems:
     k-subsets when k <= m, Gale m-subsets when m < k.  A system whose
@@ -505,7 +488,7 @@ def enumerate_vertices(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> 
     if not vertices:
         return VertexSet((), True, True, True)
     common = math.lcm(*(v.den for v in vertices))
-    vertices.sort(key=lambda v: [x * (common // v.den) for x in v.numerators])
+    vertices.sort(key=lambda v: [x * (common // v.den) for x in v.slacks])
     return VertexSet(tuple(vertices), _bounded(poly, budget), False, True)
 
 
@@ -644,6 +627,7 @@ def structure_report(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> St
         notes.append("redundancy analysis skipped: polytope is not bounded")
     monotone_ready = bool(bounded and delzant and not redundant)
     return StructureReport(
+        vertex_set=vertex_set,
         bounded=vertex_set.bounded,
         empty=vertex_set.empty,
         simple=simple,

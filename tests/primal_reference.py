@@ -18,6 +18,10 @@ library's two subset loops as they were before the m = 2 sign rule and the
 primal edge walk, every m-subset (k-subset) solved by
 ``linalg.solve_square``.  They pin the new enumerators' vertices, including
 the index of a degenerate vertex, to the subset searches they replaced.
+
+The library records a vertex by its slack vector, so ``enumerate_vertices``
+here reports slack vectors too, each from its own point; ``point`` recovers
+the point of a library vertex by a Fraction solve on its active normals.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from delzant import linalg
-from delzant.polytopes import HPolytope, VertexSet, _vertex
+from delzant.polytopes import HPolytope, Vertex, VertexSet, _vertex
 
 
 def _rref(rows, width):
@@ -178,19 +182,35 @@ def _reduced_feasible(poly):
     return not enumerate_vertices(reduced)["empty"]
 
 
+def slack_vector(poly: HPolytope, point) -> tuple[Fraction, ...]:
+    """``A^T x + b`` at the point x."""
+    return tuple(linalg.dot(a, point) + b for a, b in zip(poly.normals, poly.offsets))
+
+
+def point(poly: HPolytope, vertex: Vertex) -> tuple[Fraction, ...]:
+    """The point of a library vertex: the one solution of ``<a_i, x> = -b_i``
+    over its active set, whose normals span R^k."""
+    active = vertex.active
+    solved = solve_affine([poly.normals[i] for i in active], [-poly.offsets[i] for i in active])
+    assert solved is not None and not solved[1]
+    return tuple(solved[0])
+
+
 def enumerate_vertices(poly: HPolytope) -> dict:
-    """``{"vertices": [(point, active)], "bounded", "empty", "pointed"}``."""
+    """``{"vertices": [(slack vector, active)], "bounded", "empty", "pointed"}``,
+    the vertices in the order of their slack vectors."""
     k = poly.dim
     if k == 0:
         if not all(b >= 0 for b in poly.offsets):
             return {"vertices": [], "bounded": True, "empty": True, "pointed": True}
         active = tuple(i for i, b in enumerate(poly.offsets) if b == 0)
-        return {"vertices": [((), active)], "bounded": True, "empty": False, "pointed": True}
+        vertex = (slack_vector(poly, ()), active)
+        return {"vertices": [vertex], "bounded": True, "empty": False, "pointed": True}
     if rank([list(a) for a in poly.normals]) < k:
         empty = not _reduced_feasible(poly)
         return {"vertices": [], "bounded": False, "empty": empty, "pointed": False}
     vertices = sorted(
-        (point, tuple(i for i, v in enumerate(values) if v == 0))
+        (slack_vector(poly, point), tuple(i for i, v in enumerate(values) if v == 0))
         for point, values in _candidates(_integer_rows(poly), k)
     )
     if not vertices:
@@ -260,6 +280,14 @@ def is_fano(poly: HPolytope):
     return True, constant, tuple(reduced[0])
 
 
+def _ordered(vertices, bounded: bool) -> VertexSet:
+    """The vertex set of a search, its vertices sorted by slack vector."""
+    if not vertices:
+        return VertexSet((), True, True, True)
+    vertices.sort(key=lambda v: [Fraction(x, v.den) for x in v.slacks])
+    return VertexSet(tuple(vertices), bounded, False, True)
+
+
 def gale_vertex_set(poly: HPolytope) -> VertexSet:
     """The Gale side as an all-subsets search, for normals that span R^k.
 
@@ -267,16 +295,15 @@ def gale_vertex_set(poly: HPolytope) -> VertexSet:
     ``s_B = Gamma_B^-1 Gamma b``; B is kept when its numerators are >= 0,
     and a slack vector reached again is skipped, so a degenerate vertex
     keeps ``|det Gamma_B|`` of the first B in lexicographic order as its
-    index.  The points come from the complement of the first feasible B.
+    index.
     """
     gamma, rhs = poly.relations, poly.relation_values
     n, m = poly.n, len(gamma)
     assert m == n - poly.dim
-    scale, offsets = poly.integer_offsets
+    scale = poly.integer_offsets[0]
     cols = [tuple(row[j] for row in gamma) for j in range(n)]
     seen = set()
     vertices = []
-    recovery = None
     for subset in combinations(range(n), m):
         solved = linalg.solve_square(list(zip(*(cols[j] for j in subset))), rhs)
         if solved is None:
@@ -284,29 +311,16 @@ def gale_vertex_set(poly: HPolytope) -> VertexSet:
         nums, d = solved
         if any(x < 0 for x in nums):
             continue
-        g = math.gcd(d, *nums)
-        slack = {j: x // g for j, x in zip(subset, nums) if x}
-        q = d // g
-        key = (*slack.items(), q)
-        if key in seen:
+        slacks = [0] * n
+        for j, x in zip(subset, nums):
+            slacks[j] = Fraction(x, d * scale)
+        if tuple(slacks) in seen:
             continue
-        seen.add(key)
-        if recovery is None:
-            tight = [i for i in range(n) if i not in subset]
-            numerators, den = linalg.inverse([poly.normals[i] for i in tight])
-            base = linalg.mat_vec(numerators, [offsets[i] for i in tight])
-            recovery = dict(zip(tight, zip(*numerators))), base, scale * den
-        columns, base, den = recovery
-        point = [-q * x for x in base]
-        for j, x in slack.items():
-            if j in columns:
-                point = [y + x * c for y, c in zip(point, columns[j])]
-        active = [i for i in range(n) if i not in slack]
-        vertices.append(_vertex(point, den * q, active, d))
-    if not vertices:
-        return VertexSet((), True, True, True)
-    vertices.sort(key=lambda v: v.point)
-    return VertexSet(tuple(vertices), _positive_relation(relations(poly), n), False, True)
+        seen.add(tuple(slacks))
+        active = [i for i in range(n) if not slacks[i]]
+        den = math.lcm(*(x.denominator for x in slacks))
+        vertices.append(_vertex([int(x * den) for x in slacks], den, active, d))
+    return _ordered(vertices, _positive_relation(relations(poly), n))
 
 
 def primal_vertex_set(poly: HPolytope) -> VertexSet:
@@ -335,16 +349,13 @@ def primal_vertex_set(poly: HPolytope) -> VertexSet:
         if key in seen:
             continue
         seen.add(key)
-        active = []
-        for i, (a, e) in enumerate(zip(poly.normals, offsets)):
+        slacks = []
+        for a, e in zip(poly.normals, offsets):
             value = sum(x * y for x, y in zip(a, nums) if x) + e * d
             if value < 0:
                 break
-            if not value:
-                active.append(i)
+            slacks.append(value)
         else:
-            vertices.append(_vertex(nums, d * scale, active, d // lattice))
-    if not vertices:
-        return VertexSet((), True, True, True)
-    vertices.sort(key=lambda v: v.point)
-    return VertexSet(tuple(vertices), _positive_relation(relations(poly), poly.n), False, True)
+            active = [i for i, x in enumerate(slacks) if not x]
+            vertices.append(_vertex(slacks, d * scale, active, d // lattice))
+    return _ordered(vertices, _positive_relation(relations(poly), poly.n))

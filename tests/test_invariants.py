@@ -188,7 +188,7 @@ class TestMaslovAreaReport:
 
         vs = enumerate_vertices(poly)
         center = [
-            sum((v.point[i] for v in vs.vertices), Fraction(0)) / len(vs.vertices)
+            sum((ref.point(poly, v)[i] for v in vs.vertices), Fraction(0)) / len(vs.vertices)
             for i in range(poly.dim)
         ]
         squares = [linalg.dot(a, center) + b for a, b in zip(poly.normals, poly.offsets)]

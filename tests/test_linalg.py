@@ -469,7 +469,8 @@ def _standard_form(rng):
     if rng.random() < 0.25:
         rows.append([a + b for a, b in zip(rows[0], rows[-1])])
     if rng.random() < 0.6:
-        rhs = linalg.mat_vec(rows, [rng.choice([0, 0, 1, 2]) for _ in range(n)])
+        y = [rng.choice([0, 0, 1, 2]) for _ in range(n)]
+        rhs = [linalg.dot(row, y) for row in rows]
     else:
         rhs = [rng.randint(-3, 3) for _ in rows]
     cost = [rng.randint(-3, 3) for _ in range(n)]

@@ -104,7 +104,7 @@ class TestBackward:
         poly = quadrics_to_polytope(QuadricSystem(((1, 1),), (Fraction(2),)))
         assert poly.dim == 1 and poly.n == 2
         vs = enumerate_vertices(poly)
-        points = sorted(v.point[0] for v in vs.vertices)
+        points = sorted(ref.point(poly, v)[0] for v in vs.vertices)
         assert points[1] - points[0] == 2  # an interval of length 2, up to translation
 
     def test_redundant_simplex_shape(self):
@@ -315,7 +315,7 @@ class TestQuadricJson:
         poly = product_simplices(4, 8, 2)
         q = polytope_to_quadrics(poly)
         vs = enumerate_vertices(poly)
-        pts = [v.point for v in vs.vertices[:5]]
+        pts = [ref.point(poly, v) for v in vs.vertices[:5]]
         weights = [1, 2, 3, 5, 7][: len(pts)]
         center = [
             sum((Fraction(w) * p[i] for w, p in zip(weights, pts)), Fraction(0))

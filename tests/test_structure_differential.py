@@ -3,10 +3,12 @@
 Random presentations on both sides of the enumeration choice (m < k and
 m >= k), with non-simple vertices, duplicated facets, tangent inequalities,
 implicit equalities, and empty or unbounded feasible sets, must give the
-reference's vertices (points and active sets), flags, redundancy and
-Delzant verdicts.  On m = 2 presentations the sign rule, and on m >= k ones
-the primal edge walk, must also give the subset search they replaced
-exactly, indices included.
+reference's vertices (slack vectors and active sets), flags, redundancy
+and Delzant verdicts.  The normals of a pointed presentation span, so
+``x -> A^T x + b`` is injective and equal slack vectors mean equal
+points.  On m = 2 presentations the sign rule, and on m >= k ones the
+primal edge walk, must also give the subset search they replaced exactly,
+indices included.
 """
 
 import importlib.util
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from delzant import linalg
 from delzant.families import parse_family_spec
+from delzant.quadrics import polytope_to_quadrics, quadrics_to_polytope
 from delzant.polytopes import (
     HPolytope,
     PolytopeError,
@@ -149,9 +152,10 @@ def _basis_minor(poly, active):
 def assert_matches_reference(poly):
     vs = enumerate_vertices(poly)
     expected = ref.enumerate_vertices(poly)
-    assert [(v.point, v.active) for v in vs.vertices] == expected["vertices"]
+    slacks = [(tuple(Fraction(x, v.den) for x in v.slacks), v.active) for v in vs.vertices]
+    assert slacks == expected["vertices"]
     for v in vs.vertices:
-        assert v.den > 0 and math.gcd(v.den, *v.numerators) == 1
+        assert v.den > 0 and math.gcd(v.den, *v.slacks) == 1
         if len(v.active) == poly.dim:
             assert v.index == _basis_minor(poly, v.active)
     assert (vs.bounded, vs.empty, vs.pointed) == (
@@ -515,8 +519,8 @@ class TestPrimalEdgeWalk:
                     + ((0, 0, 1),),
                     (Fraction(1),) * 6 + (Fraction(0),),
                 ),
-                [(0, 4, 6), (0, 3, 6), (0, 1, 2, 3, 4, 5), (3, 5, 6), (1, 2, 4, 5, 6)],
-                (2, 1, 2, 2, 1),
+                [(0, 1, 2, 3, 4, 5), (0, 4, 6), (0, 3, 6), (3, 5, 6), (1, 2, 4, 5, 6)],
+                (2, 2, 1, 2, 1),
             ),
         ],
     )
@@ -542,6 +546,66 @@ class TestPrimalEdgeWalk:
         vs = enumerate_vertices(HPolytope(6, normals, tuple(map(Fraction, offsets))))
         assert len(vs.vertices) == 134 and vs.bounded
         assert 0 < len(calls) < 2_000
+
+
+class TestSlackRecords:
+    """A vertex is recorded by its slack vector ``s = A^T x + b``, which does
+    not depend on the presentation: the polytope that the quadric system
+    ``Gamma u^2 = delta`` gives back has the same slack polytope, so it must
+    give the same records, index included, on both sides of the
+    enumeration choice and at degenerate vertices."""
+
+    @SETTINGS
+    @given(st.one_of(presentations(), primal_presentations(), plane_presentations()))
+    def test_records_survive_the_quadric_round_trip(self, poly):
+        # a pointed presentation with at least one quadric
+        assume(len(poly.relations) == poly.n - poly.dim > 0)
+        back = quadrics_to_polytope(polytope_to_quadrics(poly))
+        assert enumerate_vertices(back) == enumerate_vertices(poly)
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            # the octahedron, primal side, every vertex on four facets
+            HPolytope(3, tuple(product((1, -1), repeat=3)), (Fraction(1),) * 8),
+            # m = 2: Gamma b = 0, one point on every facet
+            _plane_presentation([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)], [0, 0, 0], [0] * 5),
+            # m = 3 < k = 5 with rational offsets
+            HPolytope(
+                5,
+                tuple(tuple(int(r == i) for r in range(5)) for i in range(5))
+                + ((-1,) * 5, (1, 1, 0, 0, 0), (0, -1, 1, 0, 0)),
+                (Fraction(1, 2),) * 6 + (Fraction(2), Fraction(1, 3)),
+            ),
+            # the det L = 2 diamond
+            HPolytope(2, ((1, 1), (1, -1), (-1, 1), (-1, -1)), (Fraction(1),) * 4),
+        ],
+        ids=["octahedron", "gale-point", "gale-3", "diamond"],
+    )
+    def test_records_of_fixed_presentations(self, poly):
+        back = quadrics_to_polytope(polytope_to_quadrics(poly))
+        assert enumerate_vertices(back) == enumerate_vertices(poly)
+
+    def test_gale_structure_report_inverts_nothing(self, monkeypatch):
+        # no normals are inverted to turn slack vectors back into points
+        calls = []
+        inverse = linalg.inverse
+
+        def counting(rows):
+            calls.append(len(rows))
+            return inverse(rows)
+
+        monkeypatch.setattr(linalg, "inverse", counting)
+        simplex = HPolytope(
+            5,
+            tuple(tuple(int(r == i) for r in range(5)) for i in range(5))
+            + ((-1,) * 5, (1, 1, 0, 0, 0), (0, -1, 1, 0, 0)),
+            (Fraction(1),) * 6 + (Fraction(2), Fraction(1)),
+        )
+        for poly in (parse_family_spec("product-simplices:p=4,n=10,k=2"), simplex):
+            assert len(poly.relations) < poly.dim
+            assert structure_report(poly).vertex_set.vertices
+        assert calls == []
 
 
 rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)

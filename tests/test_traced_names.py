@@ -42,18 +42,9 @@ def test_workload_runs_one_checked_op(name):
     assert workload.check(item, workload.corrupt(answer)) != []
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "redundant-simplex:n=7,k=4",
-        # the det L = 2 diamond, outside the catalog
-        '{"A": [[1, 1, -1, -1], [1, -1, 1, -1]], "b": [1, 1, 1, 1]}',
-    ],
-)
-def test_one_traced_deck_data_call_per_analysis(text):
-    # the deck record is cached on the quadric system and read by the
-    # invariants, the topology and the oracle; a property that bound
-    # deck_data at import time would read 0 here, a second record 2
+def _traced_analysis(text):
+    """The tracer, installed around ``analyze_polytope(..., with_oracle=True)``
+    on a family spec or a polytope JSON text whose oracle records all pass."""
     tracing = _load("tracer")
     for layer in tracing.LAYERS:
         importlib.import_module(f"delzant.{layer}")
@@ -70,4 +61,34 @@ def test_one_traced_deck_data_call_per_analysis(text):
     finally:
         tracer.uninstall()
     assert report.oracle_checks and all(r["pass"] for r in report.oracle_checks)
-    assert tracer.calls["invariants.deck_data"] == 1
+    return tracer
+
+
+# the det L = 2 diamond, outside the catalog
+DIAMOND = '{"A": [[1, 1, -1, -1], [1, -1, 1, -1]], "b": [1, 1, 1, 1]}'
+
+
+@pytest.mark.parametrize("text", ["redundant-simplex:n=7,k=4", DIAMOND])
+def test_one_traced_deck_data_call_per_analysis(text):
+    # the deck record is cached on the quadric system and read by the
+    # invariants, the topology and the oracle; a property that bound
+    # deck_data at import time would read 0 here, a second record 2
+    assert _traced_analysis(text).calls["invariants.deck_data"] == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        DIAMOND,
+        # the det L = 2 box [0, 2] x [0, 3], primal side
+        '{"A": [[2, 0, -2, 0], [0, 1, 0, -1]], "b": [0, 0, 4, 3]}',
+        # a 4-simplex with one cut, m = 2 < k
+        '{"A": [[1, 0, 0, 0, -1, -1], [0, 1, 0, 0, -1, 0], [0, 0, 1, 0, -1, 1], '
+        '[0, 0, 0, 1, -1, 0]], "b": [1, 1, 1, 1, 2, 1]}',
+    ],
+    ids=["diamond", "box", "gale"],
+)
+def test_one_vertex_enumeration_per_oracle_analysis(text):
+    # outside the catalog the oracle samples the structure report's vertices;
+    # enumerating them again on the quadric system's polytope reads 2 here
+    assert _traced_analysis(text).calls["polytopes.enumerate_vertices"] == 1

@@ -100,6 +100,10 @@ def cmd_obstruct(args) -> int:
     if args.family:
         profile = parse_profile_spec(args.family, args.L_dim)
     elif args.path:
+        if args.L_dim is not None:
+            raise PolytopeFormatError(
+                "--L-dim applies only to --family sphere-product; a profile file sets L_dim"
+            )
         profile = parse_profile(_read(args.path))
     else:
         raise PolytopeFormatError("either a profile file or --family is required")

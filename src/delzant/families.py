@@ -347,8 +347,17 @@ def family_spec(system: QuadricSystem) -> str | None:
 
 
 def parse_profile_spec(spec: str, l_dim: int | None = None) -> HomologyProfile:
-    """CLI profile strings: 'sphere-product:p=4,q=6', 'sphere-power:p=4,m=3', 'connected-sum-5:p=4'."""
+    """CLI profile strings: 'sphere-product:p=4,q=6', 'sphere-power:p=4,m=3', 'connected-sum-5:p=4'.
+
+    ``l_dim`` (the CLI's ``--L-dim``) sets dim L of a sphere product only;
+    the other profiles refuse it rather than ignore it.
+    """
     name, params = _parse_spec(spec, _PROFILE_PARAMETERS, "profile family")
+    if l_dim is not None and name != "sphere-product":
+        where = "its l= key" if name == "sphere-power" else "p, as 5p"
+        raise PolytopeFormatError(
+            f"--L-dim applies only to sphere-product; {name} takes dim L from {where}"
+        )
     try:
         if name == "sphere-product":
             return sphere_product_profile(params["p"], params["q"], l_dim)

@@ -210,8 +210,8 @@ def fano_monotone_crosscheck(
     None ("not applicable") otherwise.
     """
     applicable = (
-        structure.bounded
-        and not structure.empty
+        structure.vertex_set.bounded
+        and not structure.vertex_set.empty
         and structure.delzant is True
         and not structure.redundant
     )

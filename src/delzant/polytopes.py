@@ -187,8 +187,6 @@ class StructureReport:
     """The structural verdicts and the one vertex enumeration they were read from."""
 
     vertex_set: VertexSet
-    bounded: bool
-    empty: bool
     simple: bool | None
     generic: bool | None
     delzant: bool | None
@@ -628,8 +626,6 @@ def structure_report(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> St
     monotone_ready = bool(bounded and delzant and not redundant)
     return StructureReport(
         vertex_set=vertex_set,
-        bounded=vertex_set.bounded,
-        empty=vertex_set.empty,
         simple=simple,
         generic=generic,
         delzant=delzant,
@@ -645,8 +641,8 @@ def structure_report(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> St
 
 def structure_to_json(report: StructureReport) -> dict:
     return {
-        "bounded": report.bounded,
-        "empty": report.empty,
+        "bounded": report.vertex_set.bounded,
+        "empty": report.vertex_set.empty,
         "simple": report.simple,
         "generic": report.generic,
         "delzant": report.delzant,

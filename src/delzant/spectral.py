@@ -75,24 +75,22 @@ def run_engine(profile: HomologyProfile, n: int) -> EngineResult:
     """Lower-bound propagation for Maslov candidate ``n``.
 
     Page r sends degree d to d + rn - 1 and receives from d + 1 - rn; the
-    lower bound drops by the (constant) upper bounds of those two slots.
-    Excluded iff some degree is still positive at the collapse page.
+    lower bound drops by the upper bounds of those two slots, which are
+    constant and nonnegative, so it is clipped at zero once, not per page.
+    Excluded iff some degree stays positive; the least one is the witness.
     """
     if n < 2:
         raise ValueError("Maslov candidates start at 2")
     _check_model(profile)
     upper = profile.as_dict()
-    lower = dict(upper)
-    pages = collapse_page(profile.l_dim, n)
-    for r in range(1, pages):
-        shift = r * n - 1
-        lower = {
-            d: max(0, v - upper.get(d + shift, 0) - upper.get(d - shift, 0))
-            for d, v in lower.items()
-        }
-    survivors = sorted(d for d, v in lower.items() if v > 0)
-    if survivors:
-        return EngineResult(True, survivors[0])
+    shifts = [r * n - 1 for r in range(1, collapse_page(profile.l_dim, n))]
+    for d, v in profile.dims:
+        for shift in shifts:
+            v -= upper.get(d + shift, 0) + upper.get(d - shift, 0)
+            if v <= 0:
+                break
+        else:
+            return EngineResult(True, d)
     return EngineResult(False, None)
 
 
@@ -159,11 +157,22 @@ def brute_force_vanishes(profile: HomologyProfile, n: int) -> bool:
     degrees = [d for d, _ in profile.dims]
     index = {d: i for i, d in enumerate(degrees)}
     pages = collapse_page(profile.l_dim, n)
+    shifts = {page: page * n - 1 for page in range(1, pages)}
+    # each degree's last page with a partner one shift away, by index: after
+    # it the degree is alone in its chain and never changes, so that page must
+    # leave it zero; a degree with none can never change at all
+    last: dict[int, int] = {}
+    for page, shift in shifts.items():
+        for i, d in enumerate(degrees):
+            j = index.get(d + shift)
+            if j is not None:
+                last[i] = last[j] = page
+    if len(last) < len(degrees):
+        return False
     # page r's differential runs along its chains: the maximal runs
     # d, d + shift, d + 2 shift, ... of degrees present, as index tuples
     chains: dict[int, list[tuple[int, ...]]] = {}
-    for page in range(1, pages):
-        shift = page * n - 1
+    for page, shift in shifts.items():
         chains[page] = []
         for d in degrees:
             if d - shift in index:
@@ -173,16 +182,7 @@ def brute_force_vanishes(profile: HomologyProfile, n: int) -> bool:
                 chain.append(index[d])
                 d += shift
             chains[page].append(tuple(chain))
-    # a degree stuck from page p is alone in its chain on every page from p
-    # on, so its dimension never changes again; page p's outcomes must leave
-    # zero on the degrees stuck from p + 1
-    stuck = set(range(len(degrees)))
-    masks: dict[int, list[tuple[bool, ...]]] = {}
-    for page in range(pages - 1, 0, -1):
-        masks[page] = [tuple(i in stuck for i in chain) for chain in chains[page]]
-        stuck &= {chain[0] for chain in chains[page] if len(chain) == 1}
-    if stuck:
-        return False
+    masks = {p: [tuple(last[i] <= p for i in chain) for chain in chains[p]] for p in chains}
 
     def dies(vals: tuple[int, ...]) -> bool:
         # a chain dies in one page iff its ranks telescope to zero

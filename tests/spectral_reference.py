@@ -1,16 +1,46 @@
-"""Exhaustive reference for ``spectral.brute_force_vanishes``.
+"""References for ``spectral.run_engine`` and ``spectral.brute_force_vanishes``.
 
-The unpruned rank search: every page rebuilds its chains and walks every
-per-chain rank assignment, and the Cartesian product of the outcomes is
-searched page by page.  The library's search prunes what cannot change the
-answer; ``test_spectral`` requires both to agree.
+``run_engine`` here is the page-by-page propagation: every page rebuilds the
+lower bounds, clipped at zero, and the witness is the least survivor.  The
+library evaluates the same bound in closed form.
+
+``brute_force_vanishes`` here is the unpruned rank search: every page
+rebuilds its chains and walks every per-chain rank assignment, and the
+Cartesian product of the outcomes is searched page by page.  The library's
+search prunes what cannot change the answer.  ``test_spectral`` requires
+each pair to agree.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from delzant.spectral import HomologyProfile, _check_model, collapse_page
+from delzant.spectral import EngineResult, HomologyProfile, _check_model, collapse_page
+
+
+def run_engine(profile: HomologyProfile, n: int) -> EngineResult:
+    """Lower-bound propagation for Maslov candidate ``n``.
+
+    Page r sends degree d to d + rn - 1 and receives from d + 1 - rn; the
+    lower bound drops by the (constant) upper bounds of those two slots.
+    Excluded iff some degree is still positive at the collapse page.
+    """
+    if n < 2:
+        raise ValueError("Maslov candidates start at 2")
+    _check_model(profile)
+    upper = profile.as_dict()
+    lower = dict(upper)
+    pages = collapse_page(profile.l_dim, n)
+    for r in range(1, pages):
+        shift = r * n - 1
+        lower = {
+            d: max(0, v - upper.get(d + shift, 0) - upper.get(d - shift, 0))
+            for d, v in lower.items()
+        }
+    survivors = sorted(d for d, v in lower.items() if v > 0)
+    if survivors:
+        return EngineResult(True, survivors[0])
+    return EngineResult(False, None)
 
 
 def brute_force_vanishes(profile: HomologyProfile, n: int) -> bool:

@@ -165,6 +165,26 @@ class TestObstruct:
         code, out, err = run_cli(capsys, "obstruct", "--family", spec)
         assert code == 1 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "spec, hint",
+        [
+            ("connected-sum-5:p=4", "connected-sum-5 takes dim L from p"),
+            ("sphere-power:p=4,m=3", "sphere-power takes dim L from its l= key"),
+        ],
+    )
+    def test_l_dim_refused_where_it_would_be_ignored(self, capsys, spec, hint):
+        code, out, err = run_cli(capsys, "obstruct", "--family", spec, "--L-dim", "3")
+        assert code == 1 and out == ""
+        assert "--L-dim applies only to sphere-product" in err and hint in err
+
+    def test_l_dim_refused_with_profile_file(self, capsys, tmp_path):
+        profile = tmp_path / "profile.json"
+        profile.write_text(
+            json.dumps({"dims": {"0": 1, "3": 2, "6": 1}, "L_dim": 8, "orientable": True})
+        )
+        code, out, err = run_cli(capsys, "obstruct", str(profile), "--L-dim", "10")
+        assert code == 1 and out == "" and "a profile file sets L_dim" in err
+
     def test_nmax_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "obstruct", "--family", "sphere-product:p=4,q=6", "--nmax", "1"

@@ -158,6 +158,9 @@ CORPUS = [
     ("obstruct --family sphere-product:p=4,q=6 --L-dim 10", 0, "8e82a8952358e8030f5a75765d913e3a156f0bcdc21bf9301a9a3a53957c00f9"),
     ("obstruct --family connected-sum-5:p=4", 0, "9ae250218e538eeacd14002374d0794bfdb50832b3535da987073079bfe2555d"),
     ("obstruct @profile --nmax 8", 0, "34d3b5b7b708fa8e95563eecac45790e318e2941f3f213caf24eb0f7cb205a84"),
+    ("obstruct --family connected-sum-5:p=4 --L-dim 3", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("obstruct --family sphere-power:p=4,m=3 --L-dim 12", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("obstruct @profile --L-dim 8", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("obstruct --family sphere-product:p=4,q=6 --nmax 1.5", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("obstruct --family sphere-product:p=4,q=6 --nmax 1", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify --only binomial", 1, "28666315b557cd9b6fe3b441172482c311fe589ef89fa7c69841aad5ddf53302"),

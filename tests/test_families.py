@@ -301,6 +301,11 @@ class TestSpecStrings:
     def test_optional_profile_parameter(self):
         assert parse_profile_spec("sphere-power:p=4,m=2,l=3").l_dim == 9
 
+    @pytest.mark.parametrize("spec", ["sphere-power:p=4,m=3", "connected-sum-5:p=4"])
+    def test_l_dim_only_for_sphere_product(self, spec):
+        with pytest.raises(PolytopeFormatError, match="applies only to sphere-product"):
+            parse_profile_spec(spec, 12)
+
 
 class TestFamilySpec:
     def test_round_trip_over_pipeline_instances(self):

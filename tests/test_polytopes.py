@@ -402,7 +402,7 @@ class TestBounded:
 class TestStructureReport:
     def test_product_family(self):
         report = structure_report(product_simplices(4, 10, 2))
-        assert report.bounded and not report.empty
+        assert report.vertex_set.bounded and not report.vertex_set.empty
         assert report.simple and report.generic and report.delzant
         assert report.fano and report.fano_constant == 1
         assert report.redundant == ()
@@ -435,7 +435,7 @@ class TestStructureReport:
         twice = HPolytope(0, ((), ()), (Fraction(2), Fraction(2)))
         assert is_fano(twice) == (False, None, None)
         report = structure_report(HPolytope(0, ((), ()), (Fraction(0), Fraction(1))))
-        assert report.bounded and not report.empty and not report.simple
+        assert report.vertex_set.bounded and not report.vertex_set.empty and not report.simple
         assert (report.redundant, report.strict_redundant) == ((0, 1), (1,))
         assert enumerate_vertices(HPolytope(0, ((),), (Fraction(-1),))).empty
 

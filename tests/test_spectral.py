@@ -124,6 +124,28 @@ class TestRunEngine:
         with pytest.raises(ValueError):
             run_engine(sphere_product(4, 6, 10), 1)
 
+    def test_agrees_with_page_by_page_reference(self):
+        # n runs to dim L + 2, whose collapse page is 1: nothing is subtracted
+        rng = random.Random(2028)
+        pairs = []
+        while len(pairs) < 2000:
+            profile = _random_profile(rng, max_total=12, max_l=14)
+            pairs += [(profile, n) for n in range(2, profile.l_dim + 3)]
+        results = []
+        for profile, n in pairs:
+            expected = spectral_reference.run_engine(profile, n)
+            assert run_engine(profile, n) == expected, (profile, n)
+            results.append(expected)
+            if n > profile.l_dim:
+                assert brute_force_vanishes(profile, n) is (
+                    spectral_reference.brute_force_vanishes(profile, n)
+                ), (profile, n)
+        assert {p.orientable for p, _ in pairs} == {True, False}
+        assert sum(collapse_page(p.l_dim, n) == 1 for p, n in pairs) >= 100
+        assert sum(collapse_page(p.l_dim, n) >= 4 for p, n in pairs) >= 100
+        assert sum(not r.excluded for r in results) >= 100
+        assert sum(r.excluded and r.witness_degree > 0 for r in results) >= 200
+
 
 class TestAdmissible:
     def test_s3_s5(self):
@@ -142,6 +164,19 @@ class TestAdmissible:
     def test_orientable_excludes_odd(self):
         admissible = admissible_maslov(sphere_product(4, 6, 10), 9)
         assert all(n % 2 == 0 for n in admissible)
+
+    def test_agrees_with_per_candidate_reference(self):
+        rng = random.Random(2029)
+        for _ in range(300):
+            profile = _random_profile(rng, max_total=12, max_l=14)
+            n_max = profile.l_dim + 2
+            expected = {
+                n
+                for n in range(2, n_max + 1)
+                if not (profile.orientable and n % 2)
+                and not spectral_reference.run_engine(profile, n).excluded
+            }
+            assert admissible_maslov(profile, n_max) == expected, profile
 
     def test_non_orientable_runs_odd(self):
         dims = {0: 1, 2: 1}

@@ -92,3 +92,23 @@ def test_one_vertex_enumeration_per_oracle_analysis(text):
     # outside the catalog the oracle samples the structure report's vertices;
     # enumerating them again on the quadric system's polytope reads 2 here
     assert _traced_analysis(text).calls["polytopes.enumerate_vertices"] == 1
+
+
+@pytest.mark.parametrize(
+    "spec", ["sphere-product:p=4,q=6", "sphere-power:p=4,m=3", "connected-sum-5:p=4"]
+)
+def test_one_traced_engine_call_per_candidate(spec):
+    # admissible_maslov runs the engine through the module global once per
+    # candidate that parity leaves; a private helper in its place reads 0 here
+    tracing = _load("tracer")
+    from delzant import families, spectral
+
+    profile = families.parse_profile_spec(spec)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        spectral.admissible_maslov(profile, profile.l_dim)
+    finally:
+        tracer.uninstall()
+    candidates = [n for n in range(2, profile.l_dim + 1) if n % 2 == 0 or not profile.orientable]
+    assert candidates and tracer.calls["spectral.run_engine"] == len(candidates)

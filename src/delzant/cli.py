@@ -31,7 +31,7 @@ from .quadrics import (
     quadrics_to_polytope,
 )
 from .reproduce import run_suite
-from .spectral import ProfileError, parse_profile, profile_to_json, run_engine
+from .spectral import ProfileError, candidate_verdicts, parse_profile, profile_to_json
 
 USER_ERRORS = (
     PolytopeFormatError,
@@ -112,12 +112,10 @@ def cmd_obstruct(args) -> int:
         raise ValueError(f"dim L = {profile.l_dim} leaves no Maslov candidate in [2, dim L]")
     admissible = []
     excluded = []
-    for n in range(2, n_max + 1):
-        if profile.orientable and n % 2:
+    for n, result in candidate_verdicts(profile, n_max):
+        if result is None:
             excluded.append({"n": n, "reason": "parity"})
-            continue
-        result = run_engine(profile, n)
-        if result.excluded:
+        elif result.excluded:
             excluded.append({"n": n, "witness_degree": result.witness_degree})
         else:
             admissible.append(n)

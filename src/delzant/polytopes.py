@@ -188,7 +188,6 @@ class StructureReport:
 
     vertex_set: VertexSet
     simple: bool | None
-    generic: bool | None
     delzant: bool | None
     fano: bool
     fano_constant: Fraction | None
@@ -608,11 +607,9 @@ def structure_report(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> St
         notes.append("empty feasible set")
     if not vertex_set.pointed:
         notes.append("normals are rank-deficient: no vertices, unbounded if nonempty")
-    simple = generic = delzant = None
+    simple = delzant = None
     if vertex_set.vertices:
-        # the active normals of a vertex span R^k, so they are independent
-        # (generic) exactly when there are k of them (simple)
-        simple = generic = is_simple(vertex_set, poly.dim)
+        simple = is_simple(vertex_set, poly.dim)
         delzant = simple and is_delzant(poly, vertex_set)
     fano, constant, translation = is_fano(poly)
     redundant: tuple[int, ...] = ()
@@ -627,7 +624,6 @@ def structure_report(poly: HPolytope, budget: int = DEFAULT_SUBSET_BUDGET) -> St
     return StructureReport(
         vertex_set=vertex_set,
         simple=simple,
-        generic=generic,
         delzant=delzant,
         fano=fano,
         fano_constant=constant,
@@ -644,7 +640,9 @@ def structure_to_json(report: StructureReport) -> dict:
         "bounded": report.vertex_set.bounded,
         "empty": report.vertex_set.empty,
         "simple": report.simple,
-        "generic": report.generic,
+        # the active normals of a vertex span R^k, so they are independent
+        # (generic) exactly when there are k of them (simple)
+        "generic": report.simple,
         "delzant": report.delzant,
         "fano": report.fano,
         "fano_constant": None

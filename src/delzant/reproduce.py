@@ -43,6 +43,7 @@ from .spectral import (
 
 DEFAULT_ORACLE_SEED = 20240801
 DEFAULT_PROFILE_SEED = 424242
+PRODUCT_N_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ def _row(key, description, failures, detail_ok):
     return SuiteRow(key, description, "pass", detail_ok)
 
 
-def product_pipeline_instances(n_max: int = 20):
-    """The product-family grid: all even (p, n, k), p >= 4, n <= n_max.
+def product_pipeline_instances():
+    """The product-family grid: all even (p, n, k), p >= 4, n <= PRODUCT_N_MAX.
 
     Instances with a nonzero twist on the boundary n-p+k == p are excluded:
     there the presentation provably stops being simple (the family is
@@ -78,8 +79,8 @@ def product_pipeline_instances(n_max: int = 20):
     degeneracy for them instead of skipping silently.
     """
     included, degenerate = [], []
-    for p in range(4, n_max - 1, 2):
-        for n in range(p + 2, n_max + 1, 2):
+    for p in range(4, PRODUCT_N_MAX - 1, 2):
+        for n in range(p + 2, PRODUCT_N_MAX + 1, 2):
             for k in range(0, p - 1, 2):
                 if k and n - p + k == p:
                     degenerate.append((p, n, k))
@@ -96,8 +97,8 @@ def _product_report(p: int, n: int, k: int) -> AnalysisReport:
         return analyze_polytope(gen_product_simplices(p, n, k))
 
 
-def check_product_pipeline(n_max: int = 20) -> SuiteRow:
-    included, degenerate = product_pipeline_instances(n_max)
+def check_product_pipeline() -> SuiteRow:
+    included, degenerate = product_pipeline_instances()
     failures = []
     for p, n, k in included:
         report = _product_report(p, n, k)
@@ -164,9 +165,9 @@ def check_product_realization() -> SuiteRow:
     )
 
 
-def redundant_pipeline_instances(n_max: int = 33):
+def redundant_pipeline_instances():
     instances = []
-    for n in range(5, n_max + 1, 2):
+    for n in range(5, 34, 2):
         start = (n - 1) // 2
         if start % 2:
             start += 1
@@ -175,9 +176,9 @@ def redundant_pipeline_instances(n_max: int = 33):
     return instances
 
 
-def check_redundant_pipeline(n_max: int = 33) -> SuiteRow:
+def check_redundant_pipeline() -> SuiteRow:
     failures = []
-    instances = redundant_pipeline_instances(n_max)
+    instances = redundant_pipeline_instances()
     minimal_maslov = {}
     for n, k in instances:
         poly = gen_redundant_simplex(n, k)
@@ -207,18 +208,13 @@ def check_redundant_pipeline(n_max: int = 33) -> SuiteRow:
     )
 
 
-def check_redundant_realization(n_max: int = 101) -> SuiteRow:
+def check_redundant_realization() -> SuiteRow:
     failures = []
-    count = 0
-    for n in range(5, n_max + 1, 2):
-        try:
-            realized = redundant_simplex_realized_divisors(n)
-        except AssertionError as exc:
-            failures.append(f"n={n}: {exc}")
-            continue
+    odd = range(5, 102, 2)
+    for n in odd:
+        realized = redundant_simplex_realized_divisors(n)
         if set(realized) != redundant_simplex_predicted_divisors(n):
             failures.append(f"n={n}: {sorted(realized)}")
-        count += 1
     for n, expected in [(13, {2, 6}), (31, {2, 6, 10})]:
         if set(redundant_simplex_realized_divisors(n)) != expected:
             failures.append(f"n={n}: spot set mismatch")
@@ -226,27 +222,32 @@ def check_redundant_realization(n_max: int = 101) -> SuiteRow:
         "realization-redundant",
         "redundant-family realized sets match the mod-4 prediction",
         failures,
-        f"{count} odd n in [5, {n_max}] match the predicted divisor sets",
+        f"{len(odd)} odd n in [5, {odd[-1]}] match the predicted divisor sets",
     )
 
 
-def check_sphere_product_restriction(n_max: int = 20) -> SuiteRow:
+def _even_extras(profile: HomologyProfile, allowed: set[int]) -> list[int]:
+    """Even admissible values up to dim L outside the allowed divisors, sorted."""
+    return sorted(
+        a for a in admissible_maslov(profile, profile.l_dim) if a % 2 == 0 and a not in allowed
+    )
+
+
+def check_sphere_product_restriction() -> SuiteRow:
     failures = []
     pairs = 0
-    for p in range(4, n_max - 3, 2):
-        for n in range(p + 4, n_max + 1, 2):
+    for p in range(4, PRODUCT_N_MAX - 3, 2):
+        for n in range(p + 4, PRODUCT_N_MAX + 1, 2):
             q = n - p
             profile = sphere_product_profile(p, q, l_dim=n)
-            admissible = admissible_maslov(profile, n)
-            allowed = even_divisors(p) | even_divisors(q)
-            extras = {a for a in admissible if a % 2 == 0} - allowed
+            extras = _even_extras(profile, even_divisors(p) | even_divisors(q))
             if extras:
-                failures.append(f"S^{p-1}xS^{q-1}: admissible extras {sorted(extras)}")
+                failures.append(f"S^{p-1}xS^{q-1}: admissible extras {extras}")
             pairs += 1
     # consistency: every realized N_L with recognized sphere-product topology
     # is admissible for that topology's profile
     checked = 0
-    for p, n, k in product_pipeline_instances(n_max)[0]:
+    for p, n, k in product_pipeline_instances()[0]:
         report = _product_report(p, n, k)
         tag = report.topology
         if tag is None or len(tag.sphere_dims) != 2 or not tag.orientable:
@@ -270,11 +271,9 @@ def check_sphere_power_restriction() -> SuiteRow:
     count = 0
     for p in (4, 6, 8, 12):
         for m in (2, 3, 4):
-            profile = sphere_power_profile(p, m)
-            admissible = admissible_maslov(profile, profile.l_dim)
-            extras = {a for a in admissible if a % 2 == 0} - even_divisors(p)
+            extras = _even_extras(sphere_power_profile(p, m), even_divisors(p))
             if extras:
-                failures.append(f"(S^{p-1})^{m}: admissible extras {sorted(extras)}")
+                failures.append(f"(S^{p-1})^{m}: admissible extras {extras}")
             count += 1
     return _row(
         "restriction-sphere-power",
@@ -307,11 +306,9 @@ def check_binomial() -> SuiteRow:
 def check_connected_sum_restriction() -> SuiteRow:
     failures = []
     for p in (2, 4, 6, 8):
-        profile = connected_sum_profile(p)
-        admissible = admissible_maslov(profile, profile.l_dim)
-        extras = {a for a in admissible if a % 2 == 0} - even_divisors(p)
+        extras = _even_extras(connected_sum_profile(p), even_divisors(p))
         if extras:
-            failures.append(f"p={p}: admissible extras {sorted(extras)}")
+            failures.append(f"p={p}: admissible extras {extras}")
     return _row(
         "restriction-connected-sum",
         "five-fold connected sum admissible sets within the divisors",
@@ -329,7 +326,7 @@ ORACLE_CATALOG = (
 )
 
 
-def check_oracle_agreement(seed: int = DEFAULT_ORACLE_SEED, random_loops: int = 20) -> SuiteRow:
+def check_oracle_agreement(seed: int = DEFAULT_ORACLE_SEED) -> SuiteRow:
     failures = []
     start = time.monotonic()
     rng = np.random.default_rng(seed)
@@ -339,7 +336,7 @@ def check_oracle_agreement(seed: int = DEFAULT_ORACLE_SEED, random_loops: int = 
         for spec in ORACLE_CATALOG:
             system = polytope_to_quadrics(parse_family_spec(spec))
             classes = [(1, 0), (0, 1)]
-            while len(classes) < 2 + random_loops:
+            while len(classes) < 22:  # the two basis loops and 20 random ones
                 candidate = tuple(int(c) for c in rng.integers(-3, 4, size=system.m))
                 if any(candidate):
                     classes.append(candidate)
@@ -362,12 +359,12 @@ def check_oracle_agreement(seed: int = DEFAULT_ORACLE_SEED, random_loops: int = 
     )
 
 
-def check_engine_soundness(seed: int = DEFAULT_PROFILE_SEED, count: int = 200) -> SuiteRow:
+def check_engine_soundness(seed: int = DEFAULT_PROFILE_SEED) -> SuiteRow:
     rng = np.random.default_rng(seed)
     failures = []
     exclusions = 0
-    for _ in range(count):
-        profile = _random_profile(rng)
+    profiles = [_random_profile(rng) for _ in range(200)]
+    for profile in profiles:
         for n in range(2, profile.l_dim + 1):
             if run_engine(profile, n).excluded:
                 exclusions += 1
@@ -377,37 +374,38 @@ def check_engine_soundness(seed: int = DEFAULT_PROFILE_SEED, count: int = 200) -
         "engine-soundness",
         "the engine never excludes a candidate the rank search can kill",
         failures,
-        f"{count} random profiles, {exclusions} exclusions all confirmed by brute force",
+        f"{len(profiles)} random profiles, {exclusions} exclusions all confirmed by brute force",
     )
 
 
-def _random_profile(rng, max_total: int = 10, max_l: int = 12) -> HomologyProfile:
-    l_dim = int(rng.integers(2, max_l + 1))
+def _random_profile(rng) -> HomologyProfile:
+    # dim L in [2, 12], at most 10 Betti classes
+    l_dim = int(rng.integers(2, 13))
     cover = int(rng.integers(1, l_dim + 1))
     dims = {0: 1, cover: 1}
-    extra = int(rng.integers(0, max_total - 1))
+    extra = int(rng.integers(0, 9))
     for _ in range(extra):
         d = int(rng.integers(0, cover + 1))
         dims[d] = dims.get(d, 0) + 1
     return HomologyProfile.from_dims(dims, l_dim, bool(rng.random() < 0.5))
 
 
-def check_area_discrepancy(seeds=(DEFAULT_ORACLE_SEED, DEFAULT_ORACLE_SEED + 1)) -> SuiteRow:
+def check_area_discrepancy(seed: int = DEFAULT_ORACLE_SEED) -> SuiteRow:
     """The factor-two mismatch on the redundant-family slack generator.
 
     Expected outcome: exactly one discrepancy record per instance, stable
-    across seeds and adjudicated by the oracle toward the computed value,
-    so the row reports "flagged" rather than pass or fail.
+    across ``seed`` and ``seed + 1`` and adjudicated by the oracle toward the
+    computed value, so the row reports "flagged" rather than pass or fail.
     """
     failures = []
     measured_values = []
-    for seed in seeds:
+    for run_seed in (seed, seed + 1):
         for n, k in [(5, 2), (13, 8)]:
             poly = gen_redundant_simplex(n, k)
-            report = analyze_polytope(poly, with_oracle=True, seed=seed)
+            report = analyze_polytope(poly, with_oracle=True, seed=run_seed)
             records = report.discrepancies
             if len(records) != 1:
-                failures.append(f"(n,k)=({n},{k}) seed={seed}: {len(records)} records")
+                failures.append(f"(n,k)=({n},{k}) seed={run_seed}: {len(records)} records")
                 continue
             record = records[0]
             if record.published != Fraction(k + 1) or record.computed != Fraction(
@@ -454,11 +452,7 @@ ALL_CHECKS = {
     "area-discrepancy": check_area_discrepancy,
 }
 
-SEEDED_CHECKS = {
-    "oracle-agreement": lambda seed: check_oracle_agreement(seed=seed),
-    "engine-soundness": lambda seed: check_engine_soundness(seed=seed),
-    "area-discrepancy": lambda seed: check_area_discrepancy(seeds=(seed, seed + 1)),
-}
+SEEDED_CHECKS = ("oracle-agreement", "engine-soundness", "area-discrepancy")
 
 
 def run_suite(only: str | None = None, seed: int | None = None) -> list[SuiteRow]:
@@ -467,7 +461,7 @@ def run_suite(only: str | None = None, seed: int | None = None) -> list[SuiteRow
         if only is not None and only not in key:
             continue
         if seed is not None and key in SEEDED_CHECKS:
-            rows.append(SEEDED_CHECKS[key](seed))
+            rows.append(check(seed=seed))
         else:
             rows.append(check())
     return rows

@@ -94,18 +94,23 @@ def run_engine(profile: HomologyProfile, n: int) -> EngineResult:
     return EngineResult(False, None)
 
 
-def admissible_maslov(profile: HomologyProfile, n_max: int) -> set[int]:
-    """Candidates in [2, n_max] not excluded; odd ones are out for orientable L."""
+def candidate_verdicts(
+    profile: HomologyProfile, n_max: int
+) -> list[tuple[int, EngineResult | None]]:
+    """Each N in [2, n_max] with its verdict: None where parity excludes it (odd N,
+    orientable L), else its one ``run_engine`` result.  No other code decides either."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    _check_model(profile)
-    admissible = set()
-    for n in range(2, n_max + 1):
-        if profile.orientable and n % 2:
-            continue
-        if not run_engine(profile, n).excluded:
-            admissible.add(n)
-    return admissible
+    return [
+        (n, None if profile.orientable and n % 2 else run_engine(profile, n))
+        for n in range(2, n_max + 1)
+    ]
+
+
+def admissible_maslov(profile: HomologyProfile, n_max: int) -> set[int]:
+    """Candidates in [2, n_max] not excluded; odd ones are out for orientable L."""
+    verdicts = candidate_verdicts(profile, n_max)
+    return {n for n, result in verdicts if result is not None and not result.excluded}
 
 
 def binomial_lemma(m: int) -> bool:

@@ -1,8 +1,12 @@
 import json
+import random
 
 import pytest
 
 from delzant.cli import main
+from delzant.spectral import admissible_maslov, profile_to_json, run_engine
+
+from .test_spectral import _random_profile
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +201,33 @@ class TestObstruct:
         code, out, err = run_cli(capsys, "obstruct", str(profile))
         assert code == 1 and out == ""
         assert "dim L = 1 leaves no Maslov candidate" in err and "nmax" not in err
+
+    def test_agrees_with_library(self, capsys, tmp_path):
+        # the JSON renders the library's verdicts: the admissible set, parity
+        # for exactly the odd n on orientable L, the engine's witness otherwise
+        rng = random.Random(29)
+        path = tmp_path / "profile.json"
+        orientabilities = set()
+        for _ in range(200):
+            profile = _random_profile(rng)
+            orientabilities.add(profile.orientable)
+            path.write_text(json.dumps(profile_to_json(profile)))
+            for n_max in sorted({2, profile.l_dim, profile.l_dim + 2}):
+                code, out, _ = run_cli(capsys, "obstruct", str(path), "--nmax", str(n_max))
+                assert code == 0
+                data = json.loads(out)
+                assert data["n_max"] == n_max
+                assert data["admissible"] == sorted(admissible_maslov(profile, n_max))
+                parity = [e["n"] for e in data["excluded"] if e.get("reason") == "parity"]
+                odd = [n for n in range(3, n_max + 1, 2) if profile.orientable]
+                assert parity == odd
+                for entry in data["excluded"]:
+                    if "reason" not in entry:
+                        witness = run_engine(profile, entry["n"]).witness_degree
+                        assert entry == {"n": entry["n"], "witness_degree": witness}
+                listed = data["admissible"] + [e["n"] for e in data["excluded"]]
+                assert sorted(listed) == list(range(2, n_max + 1))
+        assert orientabilities == {True, False}
 
 
 class TestOracleCommand:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from delzant import families
 from delzant.families import (
     FamilyRangeWarning,
     connected_sum_profile,
@@ -180,6 +181,19 @@ class TestTopology:
             (Fraction(3), Fraction(2), Fraction(3)),
         )
         assert recognize_topology(q, ()) is None
+
+    @pytest.mark.parametrize("strict", [(), (0,), (0, 1, 2, 3)])
+    def test_core_size_outside_catalog_builds_no_core(self, monkeypatch, strict):
+        # m = 4: only a strict set of 2 or 3 leaves a core of one or two quadrics
+        def refused(*args):
+            raise AssertionError("the core was built")
+
+        monkeypatch.setattr(families, "_core_rows", refused)
+        q = QuadricSystem(
+            ((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1), (1, 0, 1, 0, 1, 1)),
+            (Fraction(2), Fraction(2), Fraction(2), Fraction(5)),
+        )
+        assert recognize_topology(q, strict) is None
 
     def test_sphere_tag(self):
         q = QuadricSystem(((1, 1, 1, 1),), (Fraction(4),))

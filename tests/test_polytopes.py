@@ -241,7 +241,7 @@ class TestPredicates:
         poly = unit_square()
         vs = enumerate_vertices(poly)
         assert is_simple(vs, 2)
-        assert structure_report(poly).generic
+        assert structure_report(poly).simple
         assert is_delzant(poly, vs)
 
     def test_square_pyramid_not_simple(self):
@@ -273,11 +273,11 @@ class TestPredicates:
     def test_duplicated_facet_not_generic(self):
         tri = simplex(2)
         dup = HPolytope(2, tri.normals + ((1, 0),), tri.offsets + (Fraction(1),))
-        assert structure_report(dup).generic is False
+        assert structure_report(dup).simple is False
 
     def test_product_family_generic(self):
         poly = product_simplices(4, 10, 2)
-        assert structure_report(poly).generic
+        assert structure_report(poly).simple
 
     def test_product_family_delzant(self):
         poly = product_simplices(4, 10, 2)
@@ -289,7 +289,7 @@ class TestPredicates:
             2, ((1, 0), (0, 1), (-1, -2)), (Fraction(0), Fraction(0), Fraction(2))
         )
         vs = enumerate_vertices(poly)
-        assert is_simple(vs, 2) and structure_report(poly).generic
+        assert is_simple(vs, 2) and structure_report(poly).simple
         assert not is_delzant(poly, vs)
 
     def test_product_family_dichotomy(self):
@@ -306,7 +306,7 @@ class TestPredicates:
                 assert not is_simple(vs, poly.dim)
             else:
                 assert is_simple(vs, poly.dim)
-                assert structure_report(poly).generic
+                assert structure_report(poly).simple
                 assert is_delzant(poly, vs)
 
 
@@ -403,7 +403,7 @@ class TestStructureReport:
     def test_product_family(self):
         report = structure_report(product_simplices(4, 10, 2))
         assert report.vertex_set.bounded and not report.vertex_set.empty
-        assert report.simple and report.generic and report.delzant
+        assert report.simple and report.delzant
         assert report.fano and report.fano_constant == 1
         assert report.redundant == ()
         assert report.monotone_ready

@@ -14,7 +14,7 @@ import sys
 from .analysis import analysis_to_json, analyze_polytope
 from .families import family_spec, parse_family_spec, parse_profile_spec
 from .invariants import InvariantError
-from .oracle import OracleError, TorusLoop, oracle_checks
+from .oracle import DEFAULT_CONFIG, OracleError, TorusLoop, oracle_checks
 from .polytopes import (
     DEFAULT_SUBSET_BUDGET,
     PolytopeError,
@@ -220,8 +220,12 @@ def main(argv=None) -> int:
             if getattr(args, dest, None) is not None:
                 flag = "--" + dest.replace("_", "-")
                 setattr(args, dest, parse_integer(getattr(args, dest), flag))
-        if getattr(args, "samples", 0) < 0:
+        samples = getattr(args, "samples", 0)
+        if samples < 0:
             raise ValueError("--samples must be at least 0")
+        # each loop allocates arrays of n x samples entries
+        if samples > DEFAULT_CONFIG.max_samples:
+            raise ValueError(f"--samples must be at most {DEFAULT_CONFIG.max_samples}")
         return args.func(args)
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,16 +1,18 @@
 """Maslov and area invariants of the Lagrangian attached to a quadric system.
 
-The coefficient columns ``gamma_j`` generate a full-rank lattice; the torus
-directions of the Lagrangian are indexed by the dual lattice, and the deck
-group is dual-mod-doubled.  On a loop class ``v`` (a dual-lattice element)
-the Maslov homomorphism evaluates to ``<v, t>`` with ``t = sum_j gamma_j``,
-and the symplectic area to ``(pi/2) <v, delta>``.  Both pairings are basis
-independent; all loop data below is expressed in coordinates with respect
-to the canonical dual basis.  ``DeckData`` carries the integer pairing
-matrix ``<eps_p, gamma_j>`` of that basis with the columns, checked for
-integrality once; every parity, Maslov value and loop pairing is read
-from it, and every area from its pairings ``<eps_p, delta>``.  A
-``QuadricSystem`` computes its ``DeckData`` once, as its cached ``deck``.
+The Lagrangian is Mironov's ``R x_D T``, whose torus ``T`` is spanned by the
+coefficient columns ``gamma_j``; its loops are indexed by the dual of the
+lattice those columns span.  The relation rows of a presentation are
+saturated, so the columns of its ``Gamma`` span all of ``Z^m``: the dual
+basis is the standard one and a loop class is its coordinate vector
+``v in Z^m``.  On ``v`` the Maslov homomorphism evaluates to ``<v, t>``
+with ``t = sum_j gamma_j``, and the symplectic area to
+``(pi/2) <v, delta>``.  ``deck_data`` checks that premise once and refuses
+any other ``Gamma``; ``DeckData`` carries ``Gamma`` itself as the integer
+pairings ``<e_p, gamma_j>``, from which every parity, Maslov value and loop
+pairing is read, and ``delta`` over one denominator, from which every area
+is read.  A ``QuadricSystem`` computes its ``DeckData`` once, as its cached
+``deck``.
 """
 
 from __future__ import annotations
@@ -40,32 +42,20 @@ class InvariantError(ValueError):
 
 @dataclass(frozen=True)
 class DeckData:
-    """Lattice data of the torus factor: basis of the column lattice and its dual.
+    """Pairings of the standard dual basis ``e_p`` with the columns and ``delta``.
 
-    The dual basis vector ``eps_p`` is ``dual_numerators[p] / dual_den``, in
-    lowest terms.  ``pairings[p][j]`` is the integer ``<eps_p, gamma_j>`` of
-    dual basis vector p with column j; ``<eps_p, delta>`` is
-    ``delta_numerators[p] / delta_den``, not reduced.
+    ``pairings[p][j]`` is the integer ``<e_p, gamma_j>``, so ``pairings`` is
+    ``Gamma``; ``<e_p, delta>`` is ``delta_numerators[p] / delta_den``.
     """
 
-    rank: int
-    lattice_basis: tuple[tuple[int, ...], ...]
-    dual_numerators: tuple[tuple[int, ...], ...]
-    dual_den: int
     pairings: tuple[tuple[int, ...], ...]
     delta_numerators: tuple[int, ...]
     delta_den: int
 
-    @property
-    def dual_basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The dual basis rows as Fractions, built on demand."""
-        den = self.dual_den
-        return tuple(tuple(Fraction(x, den) for x in row) for row in self.dual_numerators)
-
 
 @dataclass(frozen=True)
 class LoopLattice:
-    """Loop classes in coordinates with respect to the dual basis."""
+    """Loop classes in coordinates with respect to the standard dual basis."""
 
     basis: tuple[tuple[int, ...], ...]
     index_in_dual: int
@@ -86,32 +76,26 @@ class InvariantReport:
 
 
 def deck_data(system: QuadricSystem) -> DeckData:
-    """Basis of the lattice generated by the coefficient columns, plus its
-    dual and their pairings; ``system.deck`` caches the result."""
-    rank = system.m
-    if rank == 0:
-        return DeckData(0, (), (), 1, (), (), 1)
-    columns = [list(c) for c in system.columns()]
-    basis = linalg.row_basis(columns)
-    if len(basis) < rank:
+    """The deck record of a system whose columns span ``Z^m``; ``system.deck``
+    caches it.
+
+    Any other ``Gamma`` is refused: loops indexed by ``Z^m`` would miss the
+    classes of a larger dual lattice.
+    """
+    basis = linalg.row_basis([list(c) for c in system.columns()])
+    if len(basis) < system.m:
         raise InvariantError(
             "coefficient columns span a rank-deficient lattice; "
             "the torus construction is undefined"
         )
-    numerators, den = linalg.dual_lattice(basis)
-    scaled = linalg.mat_mul(numerators, system.gamma)
-    if any(x % den for row in scaled for x in row):
-        raise InvariantError("a dual basis vector pairs non-integrally with a lattice column")
+    if basis != linalg.identity(system.m):
+        raise InvariantError(
+            "coefficient columns span a proper sublattice of Z^m (Gamma is not "
+            "saturated); polytope_to_quadrics(quadrics_to_polytope(system)) "
+            "gives the saturated system of the same polytope"
+        )
     delta, scale = linalg.scale_to_integers(system.delta)
-    return DeckData(
-        rank=rank,
-        lattice_basis=tuple(tuple(r) for r in basis),
-        dual_numerators=tuple(tuple(r) for r in numerators),
-        dual_den=den,
-        pairings=tuple(tuple(x // den for x in row) for row in scaled),
-        delta_numerators=tuple(linalg.dot(eps, delta) for eps in numerators),
-        delta_den=den * scale,
-    )
+    return DeckData(system.gamma, tuple(delta), scale)
 
 
 def loop_lattice(deck: DeckData, strict_redundant: Iterable[int]) -> LoopLattice:
@@ -125,7 +109,7 @@ def loop_lattice(deck: DeckData, strict_redundant: Iterable[int]) -> LoopLattice
     assumes the irredundant core variety is connected.
     """
     redundant = sorted(set(strict_redundant))
-    d = deck.rank
+    d = len(deck.pairings)
     if not redundant:
         return LoopLattice(tuple(tuple(row) for row in linalg.identity(d)), 1, True)
     relations = [
@@ -138,8 +122,9 @@ def loop_lattice(deck: DeckData, strict_redundant: Iterable[int]) -> LoopLattice
 
 def doubled_loop_lattice(deck: DeckData) -> LoopLattice:
     """Fallback when the loop lattice is unknown: doubled classes always close."""
-    basis = tuple(tuple(2 * x for x in row) for row in linalg.identity(deck.rank))
-    return LoopLattice(basis, 2 ** deck.rank, False)
+    d = len(deck.pairings)
+    basis = tuple(tuple(2 * x for x in row) for row in linalg.identity(d))
+    return LoopLattice(basis, 2 ** d, False)
 
 
 def t_vector(system: QuadricSystem) -> tuple[int, ...]:
@@ -153,10 +138,10 @@ def maslov_area_report(system: QuadricSystem, loops: LoopLattice) -> InvariantRe
     Maslov values across the whole loop basis; a zero Maslov value with a
     nonzero area defeats monotonicity.
     """
+    # the Maslov value of the standard dual generator e_p is <e_p, t> = t_p
     t = t_vector(system)
     deck = system.deck
-    generator_maslov = [sum(row) for row in deck.pairings]
-    maslov = [linalg.dot(coords, generator_maslov) for coords in loops.basis]
+    maslov = [linalg.dot(coords, t) for coords in loops.basis]
     den = 2 * deck.delta_den
     areas = [Fraction(linalg.dot(c, deck.delta_numerators), den) for c in loops.basis]
     minimal = math.gcd(*maslov)

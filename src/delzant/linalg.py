@@ -4,12 +4,12 @@ Matrices are row-major lists of rows whose entries are Python ``int`` or
 ``fractions.Fraction``, so everything here is exact and overflow-free.
 Lattices are represented by basis rows; the canonical representative of a
 row lattice is its row Hermite normal form, and the index of a full-rank
-lattice is read off its diagonal.  Square solves, determinants, ranks,
-inverses and affine solutions share one fraction-free (Bareiss)
-elimination kernel; the exact simplex pivots with the same step.  Its
-public face ``solve`` takes an integer block ``[A | B]`` with any number
-of riding columns to ``|det A| * A^-1 B``; ``solve_square``, ``inverse``
-and the vertex edge walk in ``polytopes`` call it.
+lattice is read off its diagonal.  Square solves, determinants, ranks
+and affine solutions share one fraction-free (Bareiss) elimination
+kernel; the exact simplex pivots with the same step.  Its public face
+``solve`` takes an integer block ``[A | B]`` with any number of riding
+columns to ``|det A| * A^-1 B``; ``solve_square`` and the vertex edge
+walk in ``polytopes`` call it.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ def transpose(matrix: Matrix) -> list[list]:
     if not matrix:
         return []
     return [list(col) for col in zip(*matrix)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> list[list]:
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def dot(u: Sequence, v: Sequence) -> object:
@@ -331,27 +326,6 @@ def det(rows: Matrix) -> Fraction:
     return Fraction(sign * ints[-1][-1], math.prod(scale for _, scale in scaled))
 
 
-def inverse(rows: Matrix) -> tuple[list[list[int]], int]:
-    """Inverse of a nonsingular square matrix as integer numerators over one denominator.
-
-    Returns ``(N, d)`` with ``rows^-1 == N / d`` and d the least common
-    denominator of the entries.
-    """
-    n = len(rows)
-    augmented = []
-    for i, row in enumerate(rows):
-        ints, scale = scale_to_integers(row)
-        unit = [0] * n
-        unit[i] = scale
-        augmented.append(ints + unit)
-    solved = solve(augmented, n)
-    if solved is None:
-        raise LinearAlgebraError("matrix is singular")
-    numerators, den = solved
-    common = math.gcd(den, *(x for row in numerators for x in row))
-    return [[x // common for x in row] for row in numerators], den // common
-
-
 def solve_affine(rows: Matrix, rhs: Sequence):
     """General solution of ``rows @ x == rhs`` over the rationals.
 
@@ -378,20 +352,3 @@ def solve_affine(rows: Matrix, rhs: Sequence):
             vec[col] = Fraction(-row[f], den)
         null_basis.append(vec)
     return particular, null_basis
-
-
-def dual_lattice(basis: Matrix) -> tuple[list[list[int]], int]:
-    """Basis of the dual lattice ``{w : <w, v> in Z for all lattice v}``.
-
-    ``basis`` must be square and nonsingular (full rank in its ambient
-    dimension); the dual is the inverse transpose, returned HNF-canonical
-    as integer rows ``N`` over one denominator ``den``, in lowest terms.
-    """
-    d = len(basis)
-    if d == 0 or len(basis[0]) != d:
-        raise LinearAlgebraError("dual lattice needs a full-rank square basis")
-    numerators, den = inverse(basis)
-    # rows of (B^-1)^T are the columns of B^-1; the HNF of N / den is
-    # HNF(N) / den, because the HNF commutes with a positive scale, and
-    # unimodular row steps keep the entries' gcd, so it stays coprime to den
-    return row_basis(transpose(numerators)), den

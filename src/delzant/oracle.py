@@ -150,7 +150,7 @@ class _LoopData:
 
 def _loop_data(system: QuadricSystem, loop: TorusLoop) -> _LoopData:
     deck = system.deck
-    if len(loop.coeffs) != deck.rank:
+    if len(loop.coeffs) != system.m:
         raise OracleError("loop coefficients do not match the torus rank")
     pairings = [
         sum(c * row[j] for c, row in zip(loop.coeffs, deck.pairings)) for j in range(system.n)

@@ -6,7 +6,11 @@ the rows of ``Gamma`` are a saturated basis of the integer relations among
 the normals and ``delta = Gamma b``.  Both are read off the presentation
 (``HPolytope.relations`` in its canonical slack-ordered form, and
 ``HPolytope.relation_values``), so equal presentations give bit-equal
-systems.  A ``QuadricSystem`` caches its ``invariants.DeckData`` as ``deck``.
+systems.  Saturated rows have columns that span ``Z^m``, so the torus of the
+Lagrangian has the standard dual basis.  A ``QuadricSystem`` caches its
+``invariants.DeckData`` as ``deck``: ``Gamma`` as the integer pairings of
+that basis with the columns, and ``delta`` over one denominator.  Reading
+``deck`` refuses a ``Gamma`` whose columns do not span ``Z^m``.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ constant.  Nothing here uses the relation rows' minors, the Gale dual or
 the vertex-facet incidence, and the square solves, ranks, determinants and
 affine solutions come from the dense Fraction Gauss-Jordan elimination
 below, not from ``linalg``'s fraction-free kernel; only ``integer_kernel``,
-``hnf``, ``row_basis`` and ``dot`` are shared.  The relation rows are
+``hnf``, ``row_basis`` and ``dot`` are shared.  ``inverse`` and ``mat_mul``
+serve the tests that check a change of basis, which the library never makes.  The relation rows are
 built in two steps, a saturated kernel basis and then its slack-ordered
 HNF, where the library runs one kernel on the reversed normals.  The differential tests therefore
 compare the library with a separate derivation of the same answers.
@@ -105,6 +106,11 @@ def inverse(rows):
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
     a, pivots, _ = _rref([list(row) + e for row, e in zip(rows, unit)], n)
     return [row[n:] for row in a] if len(pivots) == n else None
+
+
+def mat_mul(a, b):
+    """The matrix product, entry by entry."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def slack_ordered_hnf(rows):

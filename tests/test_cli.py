@@ -295,6 +295,19 @@ class TestOracleCommand:
         code, out, err = run_cli(capsys, command, "--family", PRODUCT_SPEC, "--samples", "-3")
         assert (code, out, err) == (1, "", "error: --samples must be at least 0\n")
 
+    @pytest.mark.parametrize("command", ["oracle", "analyze"])
+    @pytest.mark.parametrize("value", ["65537", "2000000000"])
+    def test_samples_above_the_refinement_ceiling_exit_1(self, capsys, command, value):
+        # refused before any n x samples array is allocated
+        code, out, err = run_cli(capsys, command, "--family", PRODUCT_SPEC, "--samples", value)
+        assert (code, out, err) == (1, "", "error: --samples must be at most 65536\n")
+
+    def test_samples_at_the_refinement_ceiling_run(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "oracle", "--family", PRODUCT_SPEC, "--loop", "1,-1", "--samples", "65536"
+        )
+        assert code == 0 and all(r["pass"] for r in json.loads(out))
+
     @pytest.mark.parametrize("loop", ["0,1_0", "0,x", "0,\u0661", "0,\u0663", "0,1.5"])
     def test_malformed_loop_exits_1(self, capsys, redundant_file, loop):
         code, out, err = run_cli(capsys, "oracle", str(redundant_file), "--loop", loop)

@@ -9,6 +9,8 @@ pyramid with a non-simple apex, Gale-side simplices with cuts, strictly
 and non-strictly redundant squares, P(1,1,2), and empty, unbounded,
 rank-deficient, k = 0, zero-normal and malformed inputs; the options
 include malformed integers.  A refused command pins the empty stdout.
+``VERIFY`` pins the whole ``verify`` stdout and exit code, at the default
+seeds and at ``--seed 7``.
 """
 
 import hashlib
@@ -152,6 +154,7 @@ CORPUS = [
     ("oracle @empty", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (f"oracle --family {PRODUCT} --loop 1,-1", 0, "fe06dfad86a9ebd2e76974b4525ccc37f4064ba58a049784c776028abdabda48"),
     (f"oracle --family {PRODUCT} --loop 1,-1 --samples 1", 0, "fe06dfad86a9ebd2e76974b4525ccc37f4064ba58a049784c776028abdabda48"),
+    (f"oracle --family {PRODUCT} --loop 1,-1 --samples 65537", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("oracle @diamond --loop 1,0", 0, "0a8c735dd80f87193f684678998afe315f053d41858000b72fc531e81920fffc"),
     ("oracle @cut-square --loop 0,1,0 --seed 3", 0, "76389e883283a662135a24bfc6295ea64255bafa68456afc443c02fe664c1b93"),
     ("oracle @redundant --loop 0,1_0", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -189,4 +192,16 @@ def run(capsys, tmp_path, line: str):
 def test_stdout_digest(capsys, tmp_path, line, code, digest):
     got_code, out = run(capsys, tmp_path, line)
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+# the whole reproduction suite: exit 1 for the intentional red binomial row
+VERIFY = [
+    ("verify", 1, "1e2b4fc8998cafa2cbf752d3337b83d78159cea49f9907b85d4ee20a0804fecd"),
+    ("verify --seed 7", 1, "e70ad82f94395024a6ddaa8c3c70afc01622073ceb12ac8d4626b5c9ba5470bb"),
+]
+
+
+@pytest.mark.parametrize("line, code, digest", VERIFY, ids=[line for line, _, _ in VERIFY])
+def test_full_verify_stdout(capsys, tmp_path, line, code, digest):
+    test_stdout_digest(capsys, tmp_path, line, code, digest)
 

@@ -6,6 +6,7 @@ import pytest
 
 from delzant import linalg
 from delzant.invariants import (
+    DeckData,
     InvariantError,
     LoopLattice,
     deck_data,
@@ -16,7 +17,7 @@ from delzant.invariants import (
     t_vector,
 )
 from delzant.polytopes import HPolytope, redundancy, structure_report
-from delzant.quadrics import QuadricSystem, polytope_to_quadrics
+from delzant.quadrics import QuadricSystem, polytope_to_quadrics, quadrics_to_polytope
 from . import primal_reference as ref
 from .test_polytopes import interval, product_simplices, redundant_simplex
 
@@ -34,25 +35,49 @@ def analyze(poly):
 
 
 class TestDeckData:
+    """The columns of a saturated ``Gamma`` span ``Z^m``, so the dual basis is
+    the standard one and the pairings are ``Gamma``; any other ``Gamma`` is
+    refused."""
+
     def test_product_family_dual_is_standard(self):
         q = polytope_to_quadrics(product_simplices(4, 10, 2))
         deck = deck_data(q)
-        assert deck.rank == 2 and abs(ref.det(deck.lattice_basis)) == 1
-        assert deck.lattice_basis == ((1, 0), (0, 1))
-        assert deck.dual_basis == (
-            (Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-        )
+        assert deck.pairings == q.gamma
+        assert q.gamma == ((1, 1, 1, 1, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 1, 1, 1, 1, 1, 1))
+        assert (deck.delta_numerators, deck.delta_den) == ((4, 8), 1)
 
     def test_doubled_coefficients(self):
-        deck = deck_data(QuadricSystem(((2, 2, 2),), (Fraction(4),)))
-        assert deck.lattice_basis == ((2,),)
-        assert deck.dual_basis == ((Fraction(1, 2),),)
+        # the columns span 2Z, whose dual (1/2)Z has classes that Z misses
+        q = QuadricSystem(((2, 2, 2),), (Fraction(4),))
+        with pytest.raises(InvariantError, match=r"quadrics_to_polytope\(system\)"):
+            deck_data(q)
+        saturated = polytope_to_quadrics(quadrics_to_polytope(q))
+        assert saturated == QuadricSystem(((1, 1, 1),), (Fraction(2),))
+        assert deck_data(saturated).pairings == ((1, 1, 1),)
+
+    def test_index_two_sublattice_rejected(self):
+        # the columns (1, 1), (1, -1) and (0, 2) span {(a, b) : a + b even}
+        q = QuadricSystem(((1, 1, 0), (1, -1, 2)), (Fraction(1), Fraction(1)))
+        assert linalg.lattice_det(linalg.row_basis([list(c) for c in q.columns()])) == 2
+        with pytest.raises(InvariantError, match="not saturated"):
+            q.deck
+
+    def test_round_trip_saturates_a_refused_system(self):
+        for q in (
+            QuadricSystem(((1, 1, 0), (1, -1, 2)), (Fraction(1), Fraction(1))),
+            QuadricSystem(((3, 0, 3), (0, 2, 2)), (Fraction(3), Fraction(5, 2))),
+        ):
+            with pytest.raises(InvariantError, match="not saturated"):
+                deck_data(q)
+            saturated = polytope_to_quadrics(quadrics_to_polytope(q))
+            assert deck_data(saturated).pairings == saturated.gamma
 
     def test_circle(self):
         deck = deck_data(circle_system())
-        assert deck.lattice_basis == ((1,),)
-        assert deck.dual_basis == ((Fraction(1),),)
+        assert deck == DeckData(((1, 1),), (2,), 1)
+
+    def test_empty_system(self):
+        assert deck_data(QuadricSystem((), ())) == DeckData((), (), 1)
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(InvariantError, match="rank-deficient"):
@@ -192,19 +217,9 @@ class TestMaslovAreaReport:
             for i in range(poly.dim)
         ]
         squares = [linalg.dot(a, center) + b for a, b in zip(poly.normals, poly.offsets)]
-        for coords in linalg.identity(deck.rank):
-            vector = [
-                sum(
-                    (Fraction(c) * eps[r] for c, eps in zip(coords, deck.dual_basis)),
-                    Fraction(0),
-                )
-                for r in range(deck.rank)
-            ]
-            lhs = sum(
-                (sq * linalg.dot(vector, q.column(j)) for j, sq in enumerate(squares)),
-                Fraction(0),
-            )
-            assert lhs == linalg.dot(vector, q.delta)
+        # the generator e_p pairs with column j as deck.pairings[p][j]
+        for row, numerator in zip(deck.pairings, deck.delta_numerators):
+            assert linalg.dot(squares, row) == Fraction(numerator, deck.delta_den)
 
     def test_assumption_flags(self):
         _, _, _, report = analyze(redundant_simplex(5, 2))
@@ -288,18 +303,10 @@ class TestLoopParityInvariant:
             deck = deck_data(q)
             strict = sorted(i for i, s in redundancy(poly).items() if s)
             loops = loop_lattice(deck, strict)
+            assert deck.pairings == q.gamma
             for coords in loops.basis:
-                vector = [
-                    sum(
-                        (Fraction(c) * eps[r] for c, eps in zip(coords, deck.dual_basis)),
-                        Fraction(0),
-                    )
-                    for r in range(deck.rank)
-                ]
                 for s in strict:
-                    pairing = linalg.dot(vector, q.column(s))
-                    assert Fraction(pairing).denominator == 1
-                    assert int(pairing) % 2 == 0
+                    assert linalg.dot(coords, q.column(s)) % 2 == 0
 
 
 class TestCoordinateChangeInvariance:
@@ -324,47 +331,37 @@ class TestLoopIndexBruteForce:
         from itertools import product as iproduct
 
         rng = random.Random(37)
-        for _ in range(20):
+        checked = 0
+        while checked < 20:
+            # a draw whose columns span less than Z^d is refused, and redrawn
             d = rng.choice([1, 2, 3])
             n = d + rng.randint(1, 3)
-            gamma = None
-            while gamma is None or linalg.rational_rank([list(r) for r in gamma]) < d:
-                gamma = tuple(
-                    tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(d)
-                )
+            gamma = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(d))
             q = QuadricSystem(gamma, tuple(Fraction(1) for _ in range(d)))
             try:
                 deck = deck_data(q)
             except InvariantError:
                 continue
-            # the integer pairing matrix is dual_basis . Gamma, computed in Fractions
-            assert [list(row) for row in deck.pairings] == [
-                [linalg.dot(eps, q.column(j)) for j in range(n)] for eps in deck.dual_basis
-            ]
-            assert all(type(x) is int for row in deck.pairings for x in row)
+            assert deck.pairings == gamma
             strict = sorted(rng.sample(range(n), rng.randint(0, min(2, n))))
             loops = loop_lattice(deck, strict)
-            even = []
-            for bits in iproduct((0, 1), repeat=deck.rank):
-                vector = [
-                    sum(
-                        (Fraction(c) * eps[r] for c, eps in zip(bits, deck.dual_basis)),
-                        Fraction(0),
-                    )
-                    for r in range(deck.rank)
-                ]
-                if all(int(linalg.dot(vector, q.column(s))) % 2 == 0 for s in strict):
-                    even.append(list(bits))
-            assert loops.index_in_dual == 2 ** deck.rank // len(even)
+            even = [
+                list(bits)
+                for bits in iproduct((0, 1), repeat=d)
+                if all(linalg.dot(bits, q.column(s)) % 2 == 0 for s in strict)
+            ]
+            assert loops.index_in_dual == 2 ** d // len(even)
             # the loops are the even {0,1} classes plus the doubled lattice
-            doubled = [[2 * x for x in row] for row in linalg.identity(deck.rank)]
+            doubled = [[2 * x for x in row] for row in linalg.identity(d)]
             assert [list(v) for v in loops.basis] == linalg.row_basis(even + doubled)
+            checked += 1
 
 
 class TestIntegerAreaPairings:
     def test_delta_pairings_and_areas_match_fraction_dot_products(self):
         # integer numerators over one denominator against Fraction dot
-        # products, on random full-rank Gamma with rational delta
+        # products, on random Gamma with rational delta; a Gamma whose
+        # columns span less than Z^d is refused and skipped
         rng = random.Random(41)
         checked = 0
         for _ in range(40):
@@ -379,7 +376,8 @@ class TestIntegerAreaPairings:
                 continue
             numerators, den = deck.delta_numerators, deck.delta_den
             assert all(type(x) is int for x in numerators) and den > 0
-            expected = [linalg.dot(eps, delta) for eps in deck.dual_basis]
+            # <e_p, delta> is delta_p
+            expected = list(delta)
             assert [Fraction(x, den) for x in numerators] == expected
             loops = loop_lattice(deck, sorted(rng.sample(range(n), rng.randint(0, 1))))
             report = maslov_area_report(q, loops)

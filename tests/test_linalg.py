@@ -49,7 +49,7 @@ class TestHnf:
     def test_two_by_two(self):
         h, u = linalg.hnf([[2, 4], [1, 1]], transform=True)
         assert h == [[1, 1], [0, 2]]
-        assert linalg.mat_mul(u, [[2, 4], [1, 1]]) == h
+        assert ref.mat_mul(u, [[2, 4], [1, 1]]) == h
         assert abs(linalg.det(u)) == 1
 
     def test_identity_fixed_point(self):
@@ -74,7 +74,7 @@ class TestHnf:
     @settings(max_examples=150, deadline=None)
     def test_transform_is_unimodular(self, m):
         h, u = linalg.hnf(m, transform=True)
-        assert linalg.mat_mul(u, m) == h
+        assert ref.mat_mul(u, m) == h
         assert abs(linalg.det(u)) == 1
         assert is_hnf(h)
 
@@ -138,7 +138,7 @@ class TestLatticeDet:
             b = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
             if ref.det(b) == 0:
                 continue
-            mixed = linalg.mat_mul(_random_unimodular(rng, d), b)
+            mixed = ref.mat_mul(_random_unimodular(rng, d), b)
             assert linalg.lattice_det(linalg.row_basis(mixed)) == linalg.lattice_det(
                 linalg.row_basis(b)
             )
@@ -181,65 +181,6 @@ def _random_unimodular(rng, d):
         for col in range(d):
             m[i][col] += q * m[j][col]
     return m
-
-
-def _over(numerators, den):
-    return [[Fraction(x, den) for x in row] for row in numerators]
-
-
-def _random_nonsingular(rng, d):
-    basis = None
-    while basis is None or linalg.det(basis) == 0:
-        basis = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
-    return basis
-
-
-class TestDualLattice:
-    """``dual_lattice`` returns integer HNF rows over one denominator ``(N, den)``."""
-
-    def test_standard_self_dual(self):
-        assert linalg.dual_lattice(linalg.identity(3)) == (linalg.identity(3), 1)
-
-    def test_quadric_column_lattice(self):
-        # lattice generated by (1,1), (1,0), (0,1) is all of Z^2
-        basis = linalg.row_basis([[1, 1], [1, 0], [0, 1]])
-        assert linalg.dual_lattice(basis) == ([[1, 0], [0, 1]], 1)
-
-    def test_stretched_axis(self):
-        numerators, den = linalg.dual_lattice([[2, 0], [0, 1]])
-        assert (numerators, den) == ([[1, 0], [0, 2]], 2)
-        dual = _over(numerators, den)
-        assert dual == [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1)]]
-        for w in dual:
-            for v in [[2, 0], [0, 1]]:
-                assert linalg.dot(w, v).denominator == 1
-
-    def test_integer_rows_in_lowest_terms(self):
-        rng = random.Random(5)
-        for _ in range(40):
-            basis = _random_nonsingular(rng, rng.choice([1, 2, 3, 4]))
-            numerators, den = linalg.dual_lattice(basis)
-            assert type(den) is int and den > 0
-            assert all(type(x) is int for row in numerators for x in row)
-            assert math.gcd(den, *(x for row in numerators for x in row)) == 1
-            assert numerators == linalg.row_basis(numerators)
-            # the Fraction rows: the canonical basis of the rows of the
-            # dense inverse transpose, scaled to integers and back
-            rows = linalg.transpose(ref.inverse(basis))
-            scale = math.lcm(*(x.denominator for row in rows for x in row))
-            hnf = linalg.row_basis([[int(x * scale) for x in row] for row in rows])
-            assert _over(numerators, den) == _over(hnf, scale)
-
-    def test_involution(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            basis = _random_nonsingular(rng, rng.choice([2, 3]))
-            double_dual = linalg.dual_lattice(_over(*linalg.dual_lattice(basis)))
-            assert double_dual == (linalg.row_basis(basis), 1)
-
-    def test_rejects_singular(self):
-        with pytest.raises(linalg.LinearAlgebraError):
-            linalg.dual_lattice([[1, 2], [2, 4]])
 
 
 class TestScaleToIntegers:
@@ -288,27 +229,6 @@ class TestSolvers:
             m = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
             assert linalg.det(m) == _cofactor_det(m)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 5)
-        .flatmap(lambda d: small_matrices(d, d, -4, 4))
-        .filter(lambda m: len(m) == len(m[0]) and linalg.det(m) != 0)
-    )
-    def test_inverse_numerators_over_one_denominator(self, m):
-        numerators, den = linalg.inverse(m)
-        d = len(m)
-        scaled_identity = [[den * (i == j) for j in range(d)] for i in range(d)]
-        assert linalg.mat_mul(numerators, m) == scaled_identity
-        # the same columns solve_square finds
-        for j in range(d):
-            column = [Fraction(row[j], den) for row in numerators]
-            solved, det = linalg.solve_square(m, [int(i == j) for i in range(d)])
-            assert column == [Fraction(x, det) for x in solved]
-
-    def test_inverse_rejects_singular(self):
-        with pytest.raises(linalg.LinearAlgebraError):
-            linalg.inverse([[1, 2], [2, 4]])
-
 
 def _cofactor_det(m):
     d = len(m)
@@ -330,7 +250,7 @@ class TestHnfCanonicality:
             n_cols = rng.choice([2, 3, 4])
             m = [[rng.randint(-6, 6) for _ in range(n_cols)] for _ in range(m_rows)]
             u = _random_unimodular(rng, m_rows)
-            mixed = linalg.mat_mul(u, m)
+            mixed = ref.mat_mul(u, m)
             assert linalg.hnf(mixed) == linalg.hnf(m)
 
     def test_row_lattice_matches_sympy(self):
@@ -405,20 +325,6 @@ class TestKernelAgainstReference:
         value = linalg.det(rows)
         assert type(value) is Fraction
         assert value == ref.det(rows)
-
-    @KERNEL_SETTINGS
-    @given(ENTRIES.flatmap(_square))
-    def test_inverse(self, rows):
-        expected = ref.inverse(rows)
-        if expected is None:
-            with pytest.raises(linalg.LinearAlgebraError):
-                linalg.inverse(rows)
-            return
-        numerators, den = linalg.inverse(rows)
-        assert all(type(x) is int for row in numerators for x in row)
-        assert [[Fraction(x, den) for x in row] for row in numerators] == expected
-        # the least common denominator of the entries
-        assert den == math.lcm(*(x.denominator for row in expected for x in row))
 
     @KERNEL_SETTINGS
     @given(

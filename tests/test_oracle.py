@@ -341,16 +341,16 @@ class TestDeckRecord:
         for q in (
             circle(),
             polytope_to_quadrics(gen_redundant_simplex(13, 8)),
-            QuadricSystem(((2, 2, 2),), (Fraction(7, 3),)),
+            QuadricSystem(((1, 1, 1),), (Fraction(7, 3),)),
             cut_box(4),
         ):
             deck = q.deck
             assert deck is q.deck
             assert deck == invariants.deck_data(q)
-            # the delta pairings are <eps_p, delta> over one denominator
-            assert [Fraction(x, deck.delta_den) for x in deck.delta_numerators] == [
-                sum((e * d for e, d in zip(eps, q.delta)), Fraction(0)) for eps in deck.dual_basis
-            ]
+            # the standard dual basis: the pairings are Gamma, and the delta
+            # pairings are delta over one denominator
+            assert deck.pairings == q.gamma
+            assert [Fraction(x, deck.delta_den) for x in deck.delta_numerators] == list(q.delta)
 
     def test_catalog_records_unchanged(self):
         records = catalog_records()

@@ -454,15 +454,15 @@ class TestDelzantIndexAgreement:
         vs = enumerate_vertices(poly)
         basis = linalg.row_basis([list(a) for a in poly.normals])
         lattice_det = abs(linalg.det(basis))
-        inverse, den = linalg.inverse(basis)
+        inverse = ref.inverse(basis)
         ratios = []
         for v in vs.vertices:
             active = [list(poly.normals[i]) for i in v.active]
             ratio = abs(linalg.det(active)) // lattice_det
-            # active == (scaled / den) @ basis, with integer coefficients
-            scaled = linalg.mat_mul(active, inverse)
-            assert all(x % den == 0 for row in scaled for x in row)
-            coeffs = sympy.Matrix([[x // den for x in row] for row in scaled])
+            # active == coefficients @ basis, with integer coefficients
+            coefficients = ref.mat_mul(active, inverse)
+            assert all(x.denominator == 1 for row in coefficients for x in row)
+            coeffs = sympy.Matrix([[int(x) for x in row] for row in coefficients])
             snf = smith_normal_form(coeffs, domain=sympy.ZZ)
             assert ratio == abs(snf[0, 0] * snf[1, 1])
             ratios.append(ratio)

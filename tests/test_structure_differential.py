@@ -586,26 +586,28 @@ class TestSlackRecords:
         back = quadrics_to_polytope(polytope_to_quadrics(poly))
         assert enumerate_vertices(back) == enumerate_vertices(poly)
 
-    def test_gale_structure_report_inverts_nothing(self, monkeypatch):
-        # no normals are inverted to turn slack vectors back into points
-        calls = []
-        inverse = linalg.inverse
 
-        def counting(rows):
-            calls.append(len(rows))
-            return inverse(rows)
+class TestSaturatedRelations:
+    """The relation rows of a presentation are saturated, so the columns of
+    its ``Gamma`` span ``Z^m``: the deck record accepts every system that
+    ``polytope_to_quadrics`` builds, and its pairings with the standard dual
+    basis are ``Gamma`` itself."""
 
-        monkeypatch.setattr(linalg, "inverse", counting)
-        simplex = HPolytope(
-            5,
-            tuple(tuple(int(r == i) for r in range(5)) for i in range(5))
-            + ((-1,) * 5, (1, 1, 0, 0, 0), (0, -1, 1, 0, 0)),
-            (Fraction(1),) * 6 + (Fraction(2), Fraction(1)),
+    @SETTINGS
+    @given(
+        st.one_of(
+            presentations(),
+            non_unimodular_presentations(),
+            dimension_zero_presentations(),
+            primal_presentations(),
+            plane_presentations(),
         )
-        for poly in (parse_family_spec("product-simplices:p=4,n=10,k=2"), simplex):
-            assert len(poly.relations) < poly.dim
-            assert structure_report(poly).vertex_set.vertices
-        assert calls == []
+    )
+    def test_deck_pairings_are_gamma(self, poly):
+        # the normals span
+        assume(len(poly.relations) == poly.n - poly.dim)
+        q = polytope_to_quadrics(poly)
+        assert q.deck.pairings == q.gamma == poly.relations
 
 
 rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)

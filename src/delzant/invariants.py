@@ -8,11 +8,13 @@ basis is the standard one and a loop class is its coordinate vector
 ``v in Z^m``.  On ``v`` the Maslov homomorphism evaluates to ``<v, t>``
 with ``t = sum_j gamma_j``, and the symplectic area to
 ``(pi/2) <v, delta>``.  ``deck_data`` checks that premise once and refuses
-any other ``Gamma``; ``DeckData`` carries ``Gamma`` itself as the integer
-pairings ``<e_p, gamma_j>``, from which every parity, Maslov value and loop
-pairing is read, and ``delta`` over one denominator, from which every area
-is read.  A ``QuadricSystem`` computes its ``DeckData`` once, as its cached
-``deck``.
+any other ``Gamma``: first by a certificate, rows whose last nonzero
+entries are units in distinct columns, which every catalog system
+carries, and otherwise by the HNF of the columns.  ``DeckData`` carries
+``Gamma`` itself as the integer pairings ``<e_p, gamma_j>``, from which
+every parity, Maslov value and loop pairing is read, and ``delta`` over one
+denominator, from which every area is read.  A ``QuadricSystem`` computes
+its ``DeckData`` once, as its cached ``deck``.
 """
 
 from __future__ import annotations
@@ -75,25 +77,45 @@ class InvariantReport:
     assumptions: tuple[str, ...] = field(default_factory=tuple)
 
 
+def _unit_triangular(gamma) -> bool:
+    """Whether the last nonzero columns ``c_i`` of the rows are distinct, with
+    ``|gamma[i][c_i]| == 1``.
+
+    Then the columns ``c_i``, in increasing order, form a triangular matrix
+    with unit diagonal, so they alone span ``Z^m``.  A slack-ordered HNF
+    whose pivots are all 1 has this shape.
+    """
+    last = set()
+    for row in gamma:
+        c = next((j for j in range(len(row) - 1, -1, -1) if row[j]), None)
+        if c is None or c in last or abs(row[c]) != 1:
+            return False
+        last.add(c)
+    return True
+
+
 def deck_data(system: QuadricSystem) -> DeckData:
     """The deck record of a system whose columns span ``Z^m``; ``system.deck``
     caches it.
 
     Any other ``Gamma`` is refused: loops indexed by ``Z^m`` would miss the
-    classes of a larger dual lattice.
+    classes of a larger dual lattice.  The certificate ``_unit_triangular``
+    settles the premise for every catalog system; the HNF of the columns
+    decides the rest.
     """
-    basis = linalg.row_basis([list(c) for c in system.columns()])
-    if len(basis) < system.m:
-        raise InvariantError(
-            "coefficient columns span a rank-deficient lattice; "
-            "the torus construction is undefined"
-        )
-    if basis != linalg.identity(system.m):
-        raise InvariantError(
-            "coefficient columns span a proper sublattice of Z^m (Gamma is not "
-            "saturated); polytope_to_quadrics(quadrics_to_polytope(system)) "
-            "gives the saturated system of the same polytope"
-        )
+    if not _unit_triangular(system.gamma):
+        basis = linalg.row_basis([list(c) for c in system.columns()])
+        if len(basis) < system.m:
+            raise InvariantError(
+                "coefficient columns span a rank-deficient lattice; "
+                "the torus construction is undefined"
+            )
+        if basis != linalg.identity(system.m):
+            raise InvariantError(
+                "coefficient columns span a proper sublattice of Z^m (Gamma is not "
+                "saturated); polytope_to_quadrics(quadrics_to_polytope(system)) "
+                "gives the saturated system of the same polytope"
+            )
     delta, scale = linalg.scale_to_integers(system.delta)
     return DeckData(system.gamma, tuple(delta), scale)
 

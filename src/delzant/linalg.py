@@ -9,14 +9,18 @@ and affine solutions share one fraction-free (Bareiss) elimination
 kernel; the exact simplex pivots with the same step.  Its public face
 ``solve`` takes an integer block ``[A | B]`` with any number of riding
 columns to ``|det A| * A^-1 B``; ``solve_square`` and the vertex edge
-walk in ``polytopes`` call it.
+walk in ``polytopes`` call it.  ``unimodular_kernel`` is the same pass
+over a wide matrix with a unimodular greedy column basis, as the normals
+of a Delzant polytope have: it reads a kernel basis off the free columns,
+where ``integer_kernel`` needs the HNF of the transpose with its
+unimodular transform.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Row = Sequence[int]
 Matrix = Sequence[Row]
@@ -124,6 +128,33 @@ def integer_kernel(matrix: Matrix) -> list[list[int]]:
     return image_and_kernel(matrix)[1]
 
 
+def unimodular_kernel(matrix: Matrix) -> list[list[int]] | None:
+    """The integer kernel basis ``[-A_B^-1 A_N | I]`` when the greedy column
+    basis B is unimodular, else None.
+
+    One ``_bareiss`` pass seeks pivots first in the unit columns ``±e_r``,
+    then in the rest in index order.  At full row rank with last pivot
+    ``|det A_B| == 1`` the rows are ``A_B^-1 A``, and free column f gives the
+    row with 1 at f and ``-row_r[f]`` at ``B[r]``.  Each integer kernel vector
+    is the combination of these rows by its free entries, so they are a
+    basis (not HNF) of the saturated kernel, and the columns span ``Z^k``.
+    """
+    rows = [list(row) for row in matrix]
+    n = len(rows[0]) if rows else 0
+    units = {j for j, column in enumerate(zip(*rows)) if sum(map(abs, column)) == 1}
+    pivots = _bareiss(rows, sorted(units) + [j for j in range(n) if j not in units])[0]
+    if len(pivots) < len(rows) or rows and rows[-1][pivots[-1]] != 1:
+        return None
+    kernel = []
+    for f in sorted(set(range(n)).difference(pivots)):
+        vector = [0] * n
+        vector[f] = 1
+        for row, b in zip(rows, pivots):
+            vector[b] = -row[f]
+        kernel.append(vector)
+    return kernel
+
+
 def lattice_det(basis: Matrix) -> int:
     """Determinant of a full-rank k x k HNF basis: the lattice's index in ``Z^k``.
 
@@ -148,24 +179,24 @@ def scale_to_integers(values) -> tuple[list[int], int]:
     return list(values), 1
 
 
-def _bareiss(rows: list[list[int]], width: int) -> tuple[list[int], int]:
+def _bareiss(rows: list[list[int]], order: Iterable[int]) -> tuple[list[int], int]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
     Bareiss's method (Math. Comp. 1968): each step multiplies by the new
     pivot and divides exactly by the previous one, so every entry stays a
     minor (or an adjugate entry) of the input and no fraction is formed.
-    Pivots are taken in the first ``width`` columns, from the first row
-    that has one, and made positive; entries past ``width`` (right-hand
-    sides) ride along.  Afterwards row r holds the r-th pivot, in column
-    ``columns[r]``, every pivot row carries the last pivot ``d`` in its
-    pivot column, and the pivot columns are zero elsewhere.  Returns
+    Pivots are sought in the columns of ``order``, in that order, each in
+    the first row that has one, and made positive; the other columns
+    (right-hand sides) ride along.  Afterwards row r holds the r-th pivot,
+    in column ``columns[r]``, every pivot row carries the last pivot ``d``
+    in its pivot column, and the pivot columns are zero elsewhere.  Returns
     ``(columns, sign)`` with ``d == sign * det`` for a nonsingular square
     input.
     """
     m = len(rows)
     columns: list[int] = []
     sign = previous = 1
-    for c in range(width):
+    for c in order:
         r = len(columns)
         for p in range(r, m):
             if rows[p][c]:
@@ -287,7 +318,7 @@ def solve(rows: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
     rows are eliminated in place: ``A`` becomes ``d * I``, so the riding
     columns, any number of them, are ``d * A^-1 B``.
     """
-    if len(_bareiss(rows, n)[0]) < n:
+    if len(_bareiss(rows, range(n))[0]) < n:
         return None
     return [row[n:] for row in rows], rows[-1][n - 1] if n else 1
 
@@ -295,7 +326,7 @@ def solve(rows: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
 def rational_rank(matrix: Matrix) -> int:
     """Rank over the rationals."""
     rows = [scale_to_integers(row)[0] for row in matrix]
-    return len(_bareiss(rows, len(rows[0]) if rows else 0)[0])
+    return len(_bareiss(rows, range(len(rows[0]) if rows else 0))[0])
 
 
 def solve_square(rows: Matrix, rhs: Sequence) -> tuple[list[int], int] | None:
@@ -320,7 +351,7 @@ def det(rows: Matrix) -> Fraction:
         return Fraction(1)
     scaled = [scale_to_integers(row) for row in rows]
     ints = [row for row, _ in scaled]
-    columns, sign = _bareiss(ints, n)
+    columns, sign = _bareiss(ints, range(n))
     if len(columns) < n:
         return Fraction(0)
     return Fraction(sign * ints[-1][-1], math.prod(scale for _, scale in scaled))
@@ -336,7 +367,7 @@ def solve_affine(rows: Matrix, rhs: Sequence):
     """
     n = len(rows[0]) if rows else 0
     aug = [scale_to_integers([*row, c])[0] for row, c in zip(rows, rhs)]
-    pivots = _bareiss(aug, n)[0]
+    pivots = _bareiss(aug, range(n))[0]
     rank = len(pivots)
     if any(row[n] for row in aug[rank:]):
         return None

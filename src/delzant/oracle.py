@@ -115,8 +115,11 @@ def sample_point(
     square-root rounding.  ``vertex_set`` is the ``enumerate_vertices`` result
     of a presentation of ``system`` (its slack vectors do not depend on the
     presentation), enumerated on ``quadrics_to_polytope(system)`` when not
-    given.
+    given.  A system with no quadrics (m = 0) is refused: it has no torus,
+    so there is no loop to check.
     """
+    if not system.m:
+        raise OracleError("the system has no quadrics (m = 0): no torus and no loop to check")
     if not family:
         if vertex_set is None:
             vertex_set = enumerate_vertices(quadrics_to_polytope(system))

@@ -114,13 +114,22 @@ class HPolytope:
 
     @functools.cached_property
     def _lattices(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """``(relations, normal_lattice_det)`` from one ``image_and_kernel`` of the
-        normals in reverse order: its kernel's HNF pivots are sought from the last
-        inequality backwards (the rows come back reversed); its image is L's basis."""
+        """``(relations, normal_lattice_det)``; the relations are the HNF of the
+        kernel of the reversed normals, so its pivots are sought from the last
+        inequality backwards (the rows come back reversed).  When a greedy basis of the
+        normals is unimodular, as at a Delzant vertex, ``unimodular_kernel``
+        gives a kernel basis and det L = 1; else ``image_and_kernel`` gives the
+        HNF kernel and, as its image, L's basis.  The HNF basis is unique."""
         if not self.dim:
             return tuple(map(tuple, linalg.identity(self.n))), 1
-        image, kernel = linalg.image_and_kernel([row[::-1] for row in self.matrix()])
-        return tuple(tuple(row[::-1]) for row in reversed(kernel)), linalg.lattice_det(image)
+        matrix = self.matrix()
+        kernel = linalg.unimodular_kernel(matrix)
+        if kernel is None:
+            image, kernel = linalg.image_and_kernel([row[::-1] for row in matrix])
+            det = linalg.lattice_det(image)
+        else:
+            kernel, det = linalg.row_basis([row[::-1] for row in kernel]), 1
+        return tuple(tuple(row[::-1]) for row in reversed(kernel)), det
 
     @property
     def relations(self) -> tuple[tuple[int, ...], ...]:
@@ -244,6 +253,19 @@ def parse_bool(value, what: str = "flag") -> bool:
     return value
 
 
+def load_json(text: str | bytes):
+    """``json.loads`` with a malformed document, or one nested deeper than
+    the parser's recursion limit, refused as a ``PolytopeFormatError``."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PolytopeFormatError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise PolytopeFormatError("malformed JSON: nested too deeply") from None
+
+
 def parse_polytope(text: str | bytes) -> HPolytope:
     """Parse the polytope JSON schema ``{"A": [[...]], "b": [...]}``.
 
@@ -251,12 +273,7 @@ def parse_polytope(text: str | bytes) -> HPolytope:
     ``b`` holds n rationals as integers or ``"p/q"`` strings.  Arbitrary
     precision integers may be given as decimal strings.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PolytopeFormatError(f"malformed JSON: {exc}") from None
+    data = load_json(text)
     if not isinstance(data, dict) or "A" not in data or "b" not in data:
         raise PolytopeFormatError("polytope JSON needs keys 'A' and 'b'")
     rows = data["A"]

@@ -16,7 +16,6 @@ that basis with the columns, and ``delta`` over one denominator.  Reading
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +26,7 @@ from .polytopes import (
     enumerate_vertices,
     format_rational,
     is_simple,
+    load_json,
     parse_integer,
     parse_rational,
 )
@@ -136,12 +136,7 @@ def nondegeneracy(poly: HPolytope) -> bool:
 
 def parse_quadrics(text: str | bytes) -> QuadricSystem:
     """Parse the quadric JSON schema ``{"Gamma": [[...]], "delta": [...]}``."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PolytopeFormatError(f"malformed JSON: {exc}") from None
+    data = load_json(text)
     if not isinstance(data, dict) or "Gamma" not in data or "delta" not in data:
         raise PolytopeFormatError("quadric JSON needs keys 'Gamma' and 'delta'")
     rows = data["Gamma"]

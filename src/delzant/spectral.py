@@ -11,12 +11,11 @@ not sharp.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
-from .polytopes import PolytopeFormatError, parse_bool, parse_integer
+from .polytopes import PolytopeFormatError, load_json, parse_bool, parse_integer
 
 
 class ProfileError(ValueError):
@@ -243,12 +242,7 @@ def brute_force_vanishes(profile: HomologyProfile, n: int) -> bool:
 
 def parse_profile(text: str | bytes) -> HomologyProfile:
     """Parse ``{"dims": {"0": 1, ...}, "L_dim": int, "orientable": bool}``."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PolytopeFormatError(f"malformed JSON: {exc}") from None
+    data = load_json(text)
     if not isinstance(data, dict) or not {"dims", "L_dim", "orientable"} <= set(data):
         raise PolytopeFormatError(
             "profile JSON needs keys 'dims', 'L_dim' and 'orientable'"

@@ -313,8 +313,33 @@ class TestOracleCommand:
         code, out, err = run_cli(capsys, "oracle", str(redundant_file), "--loop", loop)
         assert code == 1 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "source", [{"A": [], "b": []}, {"A": [[1]], "b": [1]}], ids=["k0", "k1-n1"]
+    )
+    def test_no_quadrics_exits_1(self, capsys, tmp_path, source):
+        # m = 0: no torus, so no loop to sample or check
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(source))
+        code, out, err = run_cli(capsys, "oracle", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: the system has no quadrics (m = 0): no torus and no loop to check\n"
+
 
 PRODUCT_SPEC = "product-simplices:p=4,n=10,k=2"
+
+
+class TestDeeplyNestedJson:
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["quadrics", "--invert"], ["obstruct"]],
+        ids=["polytope", "quadrics", "profile"],
+    )
+    def test_refused_in_one_line(self, capsys, tmp_path, command):
+        # deeper than the JSON parser's recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+        assert (code, out, err) == (1, "", "error: malformed JSON: nested too deeply\n")
 
 
 class TestIntegerOptions:

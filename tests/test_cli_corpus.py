@@ -152,6 +152,7 @@ CORPUS = [
     ("oracle @cut-square --seed 3 --samples 300", 0, "49b34853dd81766654ab0389870041d1650791f68edc349a4531773db29d4abf"),
     ("oracle @pyramid", 0, "492cdb0e1313b3df93a753dc383927c4d1d262d06d46261c42d7ad5aa9e47242"),
     ("oracle @empty", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("oracle @k0", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (f"oracle --family {PRODUCT} --loop 1,-1", 0, "fe06dfad86a9ebd2e76974b4525ccc37f4064ba58a049784c776028abdabda48"),
     (f"oracle --family {PRODUCT} --loop 1,-1 --samples 1", 0, "fe06dfad86a9ebd2e76974b4525ccc37f4064ba58a049784c776028abdabda48"),
     (f"oracle --family {PRODUCT} --loop 1,-1 --samples 65537", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

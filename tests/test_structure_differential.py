@@ -22,9 +22,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from delzant import linalg
+from delzant import invariants, linalg
 from delzant.families import parse_family_spec
-from delzant.quadrics import polytope_to_quadrics, quadrics_to_polytope
+from delzant.quadrics import QuadricSystem, polytope_to_quadrics, quadrics_to_polytope
 from delzant.polytopes import (
     HPolytope,
     PolytopeError,
@@ -310,6 +310,64 @@ class TestRelationBasis:
         assert scale == math.lcm(*(b.denominator for b in poly.offsets))
         assert [Fraction(e, scale) for e in offsets] == list(poly.offsets)
         assert poly.relation_values == tuple(linalg.dot(row, offsets) for row in poly.relations)
+
+    @pytest.mark.parametrize(
+        "source, fallbacks, lattice",
+        [
+            ("product-simplices:p=4,n=10,k=2", 0, 1),
+            ("redundant-simplex:n=13,k=8", 0, 1),
+            # a box with two cuts ahead of it: in index order the first basis
+            # is the cuts' (1, 1), (1, -1) of det -2; the unit normals come first
+            (((1, 1), (1, -1), (1, 0), (0, 1), (-1, 0), (0, -1)), 0, 1),
+            # unimodular, but no normal is a unit vector
+            (((2, 1), (1, 1), (-3, -2)), 0, 1),
+            # the diamond: its normals span an index-2 lattice
+            (((1, 1), (1, -1), (-1, 1), (-1, -1)), 1, 2),
+        ],
+        ids=["product", "redundant", "box-cuts", "no-unit", "diamond"],
+    )
+    def test_unimodular_fast_path_is_taken_exactly_when_det_l_is_one(
+        self, monkeypatch, source, fallbacks, lattice
+    ):
+        calls = []
+        image_and_kernel = linalg.image_and_kernel
+        monkeypatch.setattr(
+            linalg, "image_and_kernel", lambda m: calls.append(m) or image_and_kernel(m)
+        )
+        if isinstance(source, str):
+            poly = parse_family_spec(source)
+        else:
+            poly = HPolytope(2, source, (Fraction(1),) * len(source))
+        assert poly.normal_lattice_det == lattice
+        assert len(calls) == fallbacks
+        assert poly.relations == ref.relations(poly)
+
+    @pytest.mark.parametrize(
+        "source, hnfs",
+        [
+            ("product-simplices:p=4,n=10,k=2", 0),
+            ("redundant-simplex:n=13,k=8", 0),
+            # a row ends in a non-unit entry, or two rows end in one column,
+            # yet the columns span Z^m
+            (((1, 2),), 1),
+            (((2, 3),), 1),
+            (((3, 1, 0), (2, 0, 5)), 1),
+            (((1, 0, 1), (0, 1, 1)), 1),
+        ],
+    )
+    def test_deck_certificate_skips_the_column_hnf_where_it_holds(
+        self, monkeypatch, source, hnfs
+    ):
+        # the refusals of the fallback are pinned in test_invariants.TestDeckData
+        if isinstance(source, str):
+            system = polytope_to_quadrics(parse_family_spec(source))
+        else:
+            system = QuadricSystem(source, (Fraction(1),) * len(source))
+        calls = []
+        row_basis = linalg.row_basis
+        monkeypatch.setattr(linalg, "row_basis", lambda m: calls.append(m) or row_basis(m))
+        assert invariants.deck_data(system).pairings == system.gamma
+        assert len(calls) == hnfs
 
 
 class TestGaleMinors:

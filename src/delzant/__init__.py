@@ -7,7 +7,6 @@ from .families import (
     recognize_topology,
 )
 from .invariants import (
-    DeckData,
     InvariantReport,
     LoopLattice,
     deck_data,
@@ -29,7 +28,6 @@ from .polytopes import (
 )
 from .quadrics import (
     QuadricSystem,
-    nondegeneracy,
     polytope_to_quadrics,
     quadrics_to_polytope,
 )
@@ -44,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "DeckData",
     "HPolytope",
     "HomologyProfile",
     "InvariantReport",
@@ -65,7 +62,6 @@ __all__ = [
     "is_simple",
     "loop_lattice",
     "maslov_area_report",
-    "nondegeneracy",
     "parse_polytope",
     "polytope_to_quadrics",
     "quadrics_to_polytope",

@@ -105,9 +105,9 @@ def analyze_polytope(
     structure = structure_report(poly, budget)
     non_strict = set(structure.redundant) - set(structure.strict_redundant)
     if non_strict:
-        loops = inv.doubled_loop_lattice(system.deck)
+        loops = inv.doubled_loop_lattice(system)
     else:
-        loops = inv.loop_lattice(system.deck, structure.strict_redundant)
+        loops = inv.loop_lattice(system, structure.strict_redundant)
     report = inv.maslov_area_report(system, loops)
     topology = recognize_topology(system, structure.strict_redundant)
     assumptions = list(report.assumptions)

@@ -7,7 +7,8 @@ in R^(n-2)).  The redundant family's realization enumerator sweeps the
 twist parameter and compares the closed-form minimal Maslov numbers with
 the predicted divisor sets.  Topology recognition matches a quadric
 system against a fixed catalog (sphere, product of two spheres, and their
-redundant doublings) and reports Unknown otherwise.  The spec grammar ``name:key=value,...`` is
+redundant doublings), reading orientability off the system's
+``saturated_gamma``, and reports Unknown otherwise.  The spec grammar ``name:key=value,...`` is
 parsed here only; ``family_spec`` names a catalog system by the spec that
 ``parse_family_spec`` reads back.
 """
@@ -152,8 +153,10 @@ def recognize_topology(
     with unimodular (v_b, v_c) are a product of two spheres, the splitting
     decided by the right-hand sides.  Strictly redundant slacks multiply
     the component count by two each.  Orientability is read off
-    ``system.deck``, the deck record the system caches.
+    ``system.saturated_gamma``, so a ``Gamma`` whose columns do not span
+    ``Z^m`` is refused before any matching.
     """
+    gamma = system.saturated_gamma
     strict = sorted(set(strict_redundant))
     # the catalog has one or two core quadrics, and a core has m - |strict| rows
     if system.m - len(strict) not in (1, 2):
@@ -166,8 +169,7 @@ def recognize_topology(
     torus_rank = system.m
     components = 2 ** len(strict)
     # orientable iff no dual basis generator flips an odd number of core coordinates
-    pairings = system.deck.pairings
-    orientable = not any(sum(row[j] for j in core_columns) % 2 for row in pairings)
+    orientable = not any(sum(row[j] for j in core_columns) % 2 for row in gamma)
 
     if len(coefficients) == 1:
         row = coefficients[0]

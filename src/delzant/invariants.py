@@ -7,14 +7,13 @@ saturated, so the columns of its ``Gamma`` span all of ``Z^m``: the dual
 basis is the standard one and a loop class is its coordinate vector
 ``v in Z^m``.  On ``v`` the Maslov homomorphism evaluates to ``<v, t>``
 with ``t = sum_j gamma_j``, and the symplectic area to
-``(pi/2) <v, delta>``.  ``deck_data`` checks that premise once and refuses
+``(pi/2) <v, delta>``, so every invariant is read off the system's own
+``Gamma`` and ``delta``.  ``deck_data`` checks that premise and refuses
 any other ``Gamma``: first by a certificate, rows whose last nonzero
 entries are units in distinct columns, which every catalog system
-carries, and otherwise by the HNF of the columns.  ``DeckData`` carries
-``Gamma`` itself as the integer pairings ``<e_p, gamma_j>``, from which
-every parity, Maslov value and loop pairing is read, and ``delta`` over one
-denominator, from which every area is read.  A ``QuadricSystem`` computes
-its ``DeckData`` once, as its cached ``deck``.
+carries, and otherwise by the HNF of the columns.  A ``QuadricSystem``
+runs the check once, and every consumer reads ``Gamma`` through its
+cached ``saturated_gamma``.
 """
 
 from __future__ import annotations
@@ -40,19 +39,6 @@ UNKNOWN_LOOP_ASSUMPTION = (
 
 class InvariantError(ValueError):
     """Raised when the lattice constructions are undefined."""
-
-
-@dataclass(frozen=True)
-class DeckData:
-    """Pairings of the standard dual basis ``e_p`` with the columns and ``delta``.
-
-    ``pairings[p][j]`` is the integer ``<e_p, gamma_j>``, so ``pairings`` is
-    ``Gamma``; ``<e_p, delta>`` is ``delta_numerators[p] / delta_den``.
-    """
-
-    pairings: tuple[tuple[int, ...], ...]
-    delta_numerators: tuple[int, ...]
-    delta_den: int
 
 
 @dataclass(frozen=True)
@@ -94,14 +80,15 @@ def _unit_triangular(gamma) -> bool:
     return True
 
 
-def deck_data(system: QuadricSystem) -> DeckData:
-    """The deck record of a system whose columns span ``Z^m``; ``system.deck``
-    caches it.
+def deck_data(system: QuadricSystem) -> None:
+    """Refuse a ``Gamma`` whose columns do not span ``Z^m``;
+    ``system.saturated_gamma`` runs this check once per system.
 
-    Any other ``Gamma`` is refused: loops indexed by ``Z^m`` would miss the
-    classes of a larger dual lattice.  The certificate ``_unit_triangular``
-    settles the premise for every catalog system; the HNF of the columns
-    decides the rest.
+    Loops indexed by ``Z^m`` would miss the classes of a larger dual
+    lattice.  The certificate ``_unit_triangular`` settles the premise for
+    every catalog system; the HNF of the columns decides the rest.  The name
+    is kept, though the check builds no deck record, because the benchmark's
+    tracer wraps ``invariants.deck_data`` by name.
     """
     if not _unit_triangular(system.gamma):
         basis = linalg.row_basis([list(c) for c in system.columns()])
@@ -116,11 +103,9 @@ def deck_data(system: QuadricSystem) -> DeckData:
                 "saturated); polytope_to_quadrics(quadrics_to_polytope(system)) "
                 "gives the saturated system of the same polytope"
             )
-    delta, scale = linalg.scale_to_integers(system.delta)
-    return DeckData(system.gamma, tuple(delta), scale)
 
 
-def loop_lattice(deck: DeckData, strict_redundant: Iterable[int]) -> LoopLattice:
+def loop_lattice(system: QuadricSystem, strict_redundant: Iterable[int]) -> LoopLattice:
     """Loop classes: dual vectors pairing evenly with every strict redundant column.
 
     With no redundancy this is the whole dual lattice.  Otherwise the loops
@@ -130,27 +115,28 @@ def loop_lattice(deck: DeckData, strict_redundant: Iterable[int]) -> LoopLattice
     full rank and its determinant is the index.  The congruence rule
     assumes the irredundant core variety is connected.
     """
+    gamma = system.saturated_gamma
     redundant = sorted(set(strict_redundant))
-    d = len(deck.pairings)
+    d = len(gamma)
     if not redundant:
         return LoopLattice(tuple(tuple(row) for row in linalg.identity(d)), 1, True)
     relations = [
-        [row[s] for row in deck.pairings] + [-2 * (i == t) for t in range(len(redundant))]
+        [row[s] for row in gamma] + [-2 * (i == t) for t in range(len(redundant))]
         for i, s in enumerate(redundant)
     ]
     basis = linalg.row_basis([v[:d] for v in linalg.integer_kernel(relations)])
     return LoopLattice(tuple(tuple(r) for r in basis), linalg.lattice_det(basis), True)
 
 
-def doubled_loop_lattice(deck: DeckData) -> LoopLattice:
+def doubled_loop_lattice(system: QuadricSystem) -> LoopLattice:
     """Fallback when the loop lattice is unknown: doubled classes always close."""
-    d = len(deck.pairings)
+    d = len(system.saturated_gamma)
     basis = tuple(tuple(2 * x for x in row) for row in linalg.identity(d))
     return LoopLattice(basis, 2 ** d, False)
 
 
 def t_vector(system: QuadricSystem) -> tuple[int, ...]:
-    return tuple(sum(row) for row in system.gamma)
+    return tuple(sum(row) for row in system.saturated_gamma)
 
 
 def maslov_area_report(system: QuadricSystem, loops: LoopLattice) -> InvariantReport:
@@ -162,10 +148,9 @@ def maslov_area_report(system: QuadricSystem, loops: LoopLattice) -> InvariantRe
     """
     # the Maslov value of the standard dual generator e_p is <e_p, t> = t_p
     t = t_vector(system)
-    deck = system.deck
     maslov = [linalg.dot(coords, t) for coords in loops.basis]
-    den = 2 * deck.delta_den
-    areas = [Fraction(linalg.dot(c, deck.delta_numerators), den) for c in loops.basis]
+    delta, scale = linalg.scale_to_integers(system.delta)
+    areas = [Fraction(linalg.dot(c, delta), 2 * scale) for c in loops.basis]
     minimal = math.gcd(*maslov)
     coeff: Fraction | None = None
     monotone = True

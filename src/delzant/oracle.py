@@ -6,7 +6,8 @@ through the squared-determinant phase of an honest Lagrangian frame.
 Only torus-orbit loops (the base point fixed) are realized; a doubled
 class ``2v`` always closes, while ``v`` itself closes only when every
 coordinate it flips vanishes at the base point.  The exact side of every
-comparison is read off the deck record the system caches (``system.deck``).
+comparison is read off the system's ``saturated_gamma`` and ``delta``, as
+the invariants read them.
 """
 
 from __future__ import annotations
@@ -144,24 +145,45 @@ def sample_point(
 
 @dataclass(frozen=True)
 class _LoopData:
-    """The exact data of a realized loop class w, read off the deck pairings."""
+    """The exact data of a realized loop class w, read off ``Gamma``."""
 
     pairings: np.ndarray  # n_j = <w, gamma_j>
     maslov: int  # <w, t>, doubled for a doubled loop
-    area: float  # pi <w, delta>, halved for a plain loop
+    area_samples: int  # the quadrature's sample count
+    winding_samples: int  # the winding's first sample count
+
+
+def _sample_counts(loop: TorusLoop, pairings: list[int]) -> tuple[int, int]:
+    """The first sample counts of the area quadrature and of the winding.
+
+    Each is at least ``loop.samples`` and ``min_samples``, and at least the
+    floor the loop's pairings set: 64 samples per turn of the fastest
+    coordinate for the quadrature, 8 per turn of every coordinate for the
+    winding.  Both build arrays of n x samples entries, so a floor above
+    ``max_samples``, the cap on ``--samples``, is refused.
+    """
+    factor = 2 if loop.doubled else 1
+    area_floor = 64 * (1 + factor * max(map(abs, pairings), default=0))
+    winding_floor = 16 + 8 * factor * sum(map(abs, pairings))
+    floor = max(area_floor, winding_floor)
+    if floor > DEFAULT_CONFIG.max_samples:
+        raise OracleError(
+            f"loop ({','.join(map(str, loop.coeffs))}) needs {floor} samples, "
+            f"above the cap of {DEFAULT_CONFIG.max_samples}"
+        )
+    least = max(loop.samples, DEFAULT_CONFIG.min_samples)
+    return max(least, area_floor), max(least, winding_floor)
 
 
 def _loop_data(system: QuadricSystem, loop: TorusLoop) -> _LoopData:
-    deck = system.deck
+    """Refuses a loop whose sample floor is above the cap before any float is formed."""
+    gamma = system.saturated_gamma
     if len(loop.coeffs) != system.m:
         raise OracleError("loop coefficients do not match the torus rank")
-    pairings = [
-        sum(c * row[j] for c, row in zip(loop.coeffs, deck.pairings)) for j in range(system.n)
-    ]
+    pairings = [sum(c * row[j] for c, row in zip(loop.coeffs, gamma)) for j in range(system.n)]
+    samples = _sample_counts(loop, pairings)
     factor = 2 if loop.doubled else 1
-    # int / int is correctly rounded, as float(Fraction) is
-    area = linalg.dot(loop.coeffs, deck.delta_numerators) * factor / (2 * deck.delta_den)
-    return _LoopData(np.array(pairings, dtype=float), factor * sum(pairings), area * math.pi)
+    return _LoopData(np.array(pairings, dtype=float), factor * sum(pairings), *samples)
 
 
 def _check_closure(loop: TorusLoop, pairings: np.ndarray, u: np.ndarray):
@@ -176,15 +198,12 @@ def _check_closure(loop: TorusLoop, pairings: np.ndarray, u: np.ndarray):
 
 def loop_area(system: QuadricSystem, loop: TorusLoop, point: RPoint) -> float:
     """Liouville-form integral along the realized loop by composite quadrature."""
-    pairings = _loop_data(system, loop).pairings
+    data = _loop_data(system, loop)
+    pairings = data.pairings
     u = point.u
     _check_closure(loop, pairings, u)
     factor = 2.0 if loop.doubled else 1.0
-    samples = max(
-        loop.samples,
-        DEFAULT_CONFIG.min_samples,
-        64 * (1 + int(factor * np.max(np.abs(pairings)))),
-    )
+    samples = data.area_samples
     s = (np.arange(samples) + 0.5) / samples
     theta = math.pi * factor * np.outer(pairings, s)
     # lambda = sum_j x_j dy_j with x_j = u_j cos(theta_j), y_j' = u_j * pi*factor*n_j cos(theta_j)
@@ -193,8 +212,15 @@ def loop_area(system: QuadricSystem, loop: TorusLoop, point: RPoint) -> float:
 
 
 def closed_form_area(system: QuadricSystem, loop: TorusLoop) -> float:
-    """pi <w, delta> for doubled loops, half that for plain ones."""
-    return _loop_data(system, loop).area
+    """pi <w, delta> for doubled loops, half that for plain ones.
+
+    The loop is checked as every measurement checks it; only this function
+    reads ``delta``, so the measurements do no Fraction arithmetic.
+    """
+    _loop_data(system, loop)
+    factor = 2 if loop.doubled else 1
+    # float(Fraction) is correctly rounded
+    return float(linalg.dot(loop.coeffs, system.delta) * factor / 2) * math.pi
 
 
 def _frame_matrix(system: QuadricSystem, u: np.ndarray) -> np.ndarray:
@@ -223,7 +249,8 @@ def loop_maslov(system: QuadricSystem, loop: TorusLoop, point: RPoint) -> int:
     consecutive phases differ by less than pi/2, and the winding must land
     within ``winding_turn_tol`` of an integer.
     """
-    pairings = _loop_data(system, loop).pairings
+    data = _loop_data(system, loop)
+    pairings = data.pairings
     u = point.u
     _check_closure(loop, pairings, u)
     factor = 2.0 if loop.doubled else 1.0
@@ -231,11 +258,7 @@ def loop_maslov(system: QuadricSystem, loop: TorusLoop, point: RPoint) -> int:
     reference = np.linalg.det(base)
     if abs(reference) < 1e-12:
         raise OracleError("frame degeneracy: determinant vanishes at the base point")
-    samples = max(
-        loop.samples,
-        DEFAULT_CONFIG.min_samples,
-        16 + 8 * int(factor * np.sum(np.abs(pairings))),
-    )
+    samples = data.winding_samples
     while True:
         s = np.linspace(0.0, 1.0, samples + 1)
         phases = np.exp(1j * math.pi * factor * np.outer(s, pairings))

@@ -463,7 +463,8 @@ def _gale_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
     reached from several B, so slack vectors are deduplicated.  The budget is
     the C(n, m) subsets, counted up front for every m.  The slacks are
     scaled by the common offset denominator so the right-hand side is
-    integral; the vertex records them over ``d`` times that denominator.
+    integral; the vertex records them over ``d`` times that denominator, in
+    lowest terms, the form that also keys the deduplication.
     """
     relations, rhs = poly.relations, poly.relation_values
     n, m = poly.n, len(relations)
@@ -473,15 +474,15 @@ def _gale_vertices(poly: HPolytope, budget: int) -> list[Vertex]:
     seen = set()
     vertices = []
     for subset, nums, d in _feasible_bases(cols, rhs):
-        g = math.gcd(d, *nums)
+        g = math.gcd(d * scale, *nums)
         slacks = [0] * n
         for j, x in zip(subset, nums):
             slacks[j] = x // g
-        key = (d // g, *slacks)
+        key = (d * scale // g, *slacks)
         if key not in seen:
             seen.add(key)
             active = [j for j, x in enumerate(slacks) if not x]
-            vertices.append(_vertex(slacks, d // g * scale, active, d))
+            vertices.append(Vertex(tuple(slacks), key[0], tuple(active), d))
     return vertices
 
 

@@ -7,10 +7,10 @@ the normals and ``delta = Gamma b``.  Both are read off the presentation
 (``HPolytope.relations`` in its canonical slack-ordered form, and
 ``HPolytope.relation_values``), so equal presentations give bit-equal
 systems.  Saturated rows have columns that span ``Z^m``, so the torus of the
-Lagrangian has the standard dual basis.  A ``QuadricSystem`` caches its
-``invariants.DeckData`` as ``deck``: ``Gamma`` as the integer pairings of
-that basis with the columns, and ``delta`` over one denominator.  Reading
-``deck`` refuses a ``Gamma`` whose columns do not span ``Z^m``.
+Lagrangian has the standard dual basis and the pairings of that basis with
+the columns are ``Gamma`` itself.  A ``QuadricSystem`` checks that premise
+once, as its cached ``saturated_gamma``, which refuses a ``Gamma`` whose
+columns do not span ``Z^m``.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from . import linalg
 from .polytopes import (
     HPolytope,
     PolytopeFormatError,
-    enumerate_vertices,
     format_rational,
-    is_simple,
     load_json,
     parse_integer,
     parse_rational,
@@ -65,11 +63,13 @@ class QuadricSystem:
         return [self.column(j) for j in range(self.n)]
 
     @functools.cached_property
-    def deck(self):
-        """The system's ``invariants.DeckData``, computed on first use."""
+    def saturated_gamma(self) -> tuple[tuple[int, ...], ...]:
+        """``gamma``, once ``invariants.deck_data`` has checked on first use
+        that its columns span ``Z^m``."""
         from . import invariants  # which imports this module
 
-        return invariants.deck_data(self)
+        invariants.deck_data(self)
+        return self.gamma
 
 
 def polytope_to_quadrics(poly: HPolytope) -> QuadricSystem:
@@ -120,18 +120,6 @@ def quadrics_to_polytope(system: QuadricSystem) -> HPolytope:
                     f"so inequality {j} would have a zero normal"
                 )
     return HPolytope(n - system.m, normals, tuple(reversed(b_rev)))
-
-
-def nondegeneracy(poly: HPolytope) -> bool:
-    """Whether the variety ``Gamma u^2 = delta`` of the presentation is
-    nonempty and nondegenerate.
-
-    Equivalent to the presentation being generic and feasible.
-    """
-    vertex_set = enumerate_vertices(poly)
-    if vertex_set.empty or not vertex_set.pointed:
-        return False
-    return is_simple(vertex_set, poly.dim)
 
 
 def parse_quadrics(text: str | bytes) -> QuadricSystem:

@@ -308,6 +308,29 @@ class TestOracleCommand:
         )
         assert code == 0 and all(r["pass"] for r in json.loads(out))
 
+    @pytest.mark.parametrize(
+        "loop, floor",
+        [
+            # (C, 0) pairs C with four columns and (0, C) with eight: the
+            # quadrature's floor 64 (1 + 2C) passes the cap first
+            ("512,0", 65600),
+            ("0,-512", 65600),
+            ("0,100000000", 12800000064),
+            # refused before any float is formed, where a float would overflow
+            ("9" * 400 + ",0", 64 * (1 + 2 * 10**400 - 2)),
+        ],
+        ids=["512,0", "0,-512", "0,1e8", "1e400,0"],
+    )
+    def test_loop_above_the_sample_cap_exits_1(self, capsys, loop, floor):
+        code, out, err = run_cli(capsys, "oracle", "--family", PRODUCT_SPEC, "--loop", loop)
+        assert (code, out) == (1, "")
+        assert err == f"error: loop ({loop}) needs {floor} samples, above the cap of 65536\n"
+
+    def test_loop_at_the_sample_cap_runs(self, capsys):
+        # the quadrature's floor is 64 (1 + 2 * 511) = 65472
+        code, out, _ = run_cli(capsys, "oracle", "--family", PRODUCT_SPEC, "--loop", "511,0")
+        assert code == 0 and all(r["pass"] for r in json.loads(out))
+
     @pytest.mark.parametrize("loop", ["0,1_0", "0,x", "0,\u0661", "0,\u0663", "0,1.5"])
     def test_malformed_loop_exits_1(self, capsys, redundant_file, loop):
         code, out, err = run_cli(capsys, "oracle", str(redundant_file), "--loop", loop)

@@ -159,6 +159,7 @@ CORPUS = [
     ("oracle @diamond --loop 1,0", 0, "0a8c735dd80f87193f684678998afe315f053d41858000b72fc531e81920fffc"),
     ("oracle @cut-square --loop 0,1,0 --seed 3", 0, "76389e883283a662135a24bfc6295ea64255bafa68456afc443c02fe664c1b93"),
     ("oracle @redundant --loop 0,1_0", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("oracle --family product-simplices:p=4,n=10,k=2 --loop 512,0", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("obstruct --family sphere-product:p=4,q=6 --L-dim 10", 0, "8e82a8952358e8030f5a75765d913e3a156f0bcdc21bf9301a9a3a53957c00f9"),
     ("obstruct --family connected-sum-5:p=4", 0, "9ae250218e538eeacd14002374d0794bfdb50832b3535da987073079bfe2555d"),
     ("obstruct @profile --nmax 8", 0, "34d3b5b7b708fa8e95563eecac45790e318e2941f3f213caf24eb0f7cb205a84"),

@@ -20,7 +20,7 @@ from delzant.families import (
     sphere_power_profile,
     sphere_product_profile,
 )
-from delzant.invariants import deck_data, loop_lattice, maslov_area_report
+from delzant.invariants import loop_lattice, maslov_area_report
 from delzant.polytopes import HPolytope, PolytopeFormatError, redundancy, structure_report
 from delzant.quadrics import QuadricSystem, polytope_to_quadrics
 from delzant.reproduce import (
@@ -34,9 +34,8 @@ from .test_golden_output import random_presentation
 
 def pipeline_minimal_maslov(poly):
     q = polytope_to_quadrics(poly)
-    deck = deck_data(q)
     strict = sorted(i for i, s in redundancy(poly).items() if s)
-    report = maslov_area_report(q, loop_lattice(deck, strict))
+    report = maslov_area_report(q, loop_lattice(q, strict))
     return q, strict, report
 
 
@@ -176,8 +175,9 @@ class TestTopology:
         assert tag.orientable
 
     def test_three_quadrics_unknown(self):
+        # saturated: the columns (2, 1, 0), (0, 1, 1) and (1, 0, 0) span Z^3
         q = QuadricSystem(
-            ((1, 2, 0, 1), (0, 1, 1, 0), (1, 0, 1, 1)),
+            ((1, 2, 0, 1), (0, 1, 1, 0), (1, 0, 1, 0)),
             (Fraction(3), Fraction(2), Fraction(3)),
         )
         assert recognize_topology(q, ()) is None

@@ -337,20 +337,17 @@ class TestDeckRecord:
         expected_maslov(twin, TorusLoop((0, 1)))
         assert len(calls) == 3 and calls[2] is twin
 
-    def test_record_equals_fresh_deck_data(self):
+    def test_saturated_gamma_is_gamma_after_one_check(self):
         for q in (
             circle(),
             polytope_to_quadrics(gen_redundant_simplex(13, 8)),
             QuadricSystem(((1, 1, 1),), (Fraction(7, 3),)),
             cut_box(4),
         ):
-            deck = q.deck
-            assert deck is q.deck
-            assert deck == invariants.deck_data(q)
-            # the standard dual basis: the pairings are Gamma, and the delta
-            # pairings are delta over one denominator
-            assert deck.pairings == q.gamma
-            assert [Fraction(x, deck.delta_den) for x in deck.delta_numerators] == list(q.delta)
+            # the standard dual basis: the pairings are Gamma itself
+            assert q.saturated_gamma is q.gamma
+            assert "saturated_gamma" in vars(q)
+            assert invariants.deck_data(q) is None
 
     def test_catalog_records_unchanged(self):
         records = catalog_records()
@@ -359,3 +356,44 @@ class TestDeckRecord:
         text = json.dumps(records, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGEST
 
+
+class TestSampleCap:
+    """Both sample floors of a loop come from one helper, and a floor above
+    ``max_samples`` refuses the loop in every oracle function."""
+
+    @pytest.mark.parametrize(
+        "doubled, pairings, counts",
+        [
+            # the quadrature's floor 64 (1 + f max|n_j|) sets the cap ...
+            (True, [511, 0], (65472, 8192)),
+            (True, [512, 0], None),
+            (False, [1023, 0], (65536, 8200)),
+            (False, [1024, 0], None),
+            # ... or the winding's floor 16 + 8 f sum|n_j|; both are at least min_samples
+            (True, [1] * 4095, (256, 65536)),
+            (True, [1] * 4096, None),
+        ],
+    )
+    def test_floors_at_the_cap(self, doubled, pairings, counts):
+        loop = TorusLoop((1,), doubled=doubled)
+        if counts is None:
+            with pytest.raises(OracleError, match="above the cap of 65536"):
+                oracle._sample_counts(loop, pairings)
+        else:
+            assert oracle._sample_counts(loop, pairings) == counts
+
+    def test_explicit_samples_raise_both_counts(self):
+        assert oracle._sample_counts(TorusLoop((1,), samples=1000), [3, 1]) == (1000, 1000)
+
+    def test_every_oracle_function_refuses(self):
+        q = polytope_to_quadrics(gen_product_simplices(4, 10, 2))
+        point = sample_point(q, family="product-simplices:p=4,n=10,k=2")
+        loop = TorusLoop((512, 0))
+        for measure in (
+            lambda: loop_area(q, loop, point),
+            lambda: loop_maslov(q, loop, point),
+            lambda: closed_form_area(q, loop),
+            lambda: expected_maslov(q, loop),
+        ):
+            with pytest.raises(OracleError, match=r"loop \(512,0\) needs 65600 samples"):
+                measure()

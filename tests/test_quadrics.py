@@ -17,7 +17,6 @@ from delzant.polytopes import (
 from delzant.quadrics import (
     QuadricError,
     QuadricSystem,
-    nondegeneracy,
     parse_quadrics,
     polytope_to_quadrics,
     quadrics_to_json,
@@ -253,21 +252,6 @@ def _random_unimodular(rng, d):
         for col in range(d):
             m[i][col] += q * m[j][col]
     return m
-
-
-class TestNondegeneracy:
-    def test_family_systems(self):
-        poly = product_simplices(4, 10, 2)
-        assert nondegeneracy(poly)
-
-    def test_duplicated_facet_fails(self):
-        tri = simplex(2)
-        dup = HPolytope(2, tri.normals + ((1, 0),), tri.offsets + (Fraction(1),))
-        assert not nondegeneracy(dup)
-
-    def test_empty_polytope_fails(self):
-        empty = HPolytope(1, ((1,), (-1,)), (Fraction(-2), Fraction(1)))
-        assert not nondegeneracy(empty)
 
 
 class TestQuadricJson:

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from delzant import invariants, linalg
+from delzant import linalg
 from delzant.families import parse_family_spec
 from delzant.quadrics import QuadricSystem, polytope_to_quadrics, quadrics_to_polytope
 from delzant.polytopes import (
@@ -366,7 +366,7 @@ class TestRelationBasis:
         calls = []
         row_basis = linalg.row_basis
         monkeypatch.setattr(linalg, "row_basis", lambda m: calls.append(m) or row_basis(m))
-        assert invariants.deck_data(system).pairings == system.gamma
+        assert system.saturated_gamma is system.gamma
         assert len(calls) == hnfs
 
 
@@ -647,9 +647,9 @@ class TestSlackRecords:
 
 class TestSaturatedRelations:
     """The relation rows of a presentation are saturated, so the columns of
-    its ``Gamma`` span ``Z^m``: the deck record accepts every system that
-    ``polytope_to_quadrics`` builds, and its pairings with the standard dual
-    basis are ``Gamma`` itself."""
+    its ``Gamma`` span ``Z^m``: the saturation check accepts every system
+    that ``polytope_to_quadrics`` builds, and the pairings of the standard
+    dual basis with its columns are ``Gamma`` itself."""
 
     @SETTINGS
     @given(
@@ -665,7 +665,7 @@ class TestSaturatedRelations:
         # the normals span
         assume(len(poly.relations) == poly.n - poly.dim)
         q = polytope_to_quadrics(poly)
-        assert q.deck.pairings == q.gamma == poly.relations
+        assert q.saturated_gamma == q.gamma == poly.relations
 
 
 rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
